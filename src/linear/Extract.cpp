@@ -1,9 +1,17 @@
 //===- linear/Extract.cpp - Linear extraction analysis ----------------------==//
+///
+/// \file
+/// The work-function tree walk of the linearity analysis. Values live in
+/// the affine domain of linear/Affine.h; verify/AbstractInterp.cpp walks
+/// the compiled op tape over the same domain, and verify-linear compares
+/// the two walks' results.
+///
+//===----------------------------------------------------------------------===//
 
 #include "linear/Extract.h"
 
+#include "linear/Affine.h"
 #include "support/Diag.h"
-#include "wir/Interp.h"
 
 #include <cmath>
 
@@ -11,42 +19,6 @@ using namespace slin;
 using namespace slin::wir;
 
 namespace {
-
-/// A lattice value: ⊥ (unassigned), a linear form ⟨coeffs, const⟩, or ⊤.
-struct LinForm {
-  enum KindTy { Bot, Val, Top } Kind = Bot;
-  Vector Coeffs; ///< Val only; indexed naturally: Coeffs[p] * peek(p)
-  double Const = 0.0;
-
-  static LinForm bottom() { return LinForm(); }
-  static LinForm top() {
-    LinForm F;
-    F.Kind = Top;
-    return F;
-  }
-  static LinForm constant(double C, size_t Peek) {
-    LinForm F;
-    F.Kind = Val;
-    F.Coeffs = Vector(Peek);
-    F.Const = C;
-    return F;
-  }
-
-  bool isVal() const { return Kind == Val; }
-  bool isConst() const { return Kind == Val && Coeffs.countNonZero() == 0; }
-};
-
-LinForm join(const LinForm &A, const LinForm &B) {
-  if (A.Kind == LinForm::Bot)
-    return B;
-  if (B.Kind == LinForm::Bot)
-    return A;
-  if (A.Kind == LinForm::Top || B.Kind == LinForm::Top)
-    return LinForm::top();
-  if (A.Const == B.Const && A.Coeffs == B.Coeffs)
-    return A;
-  return LinForm::top();
-}
 
 /// popcount/pushcount live in the lattice constant-int domain.
 struct LatticeInt {
@@ -60,22 +32,6 @@ LatticeInt join(LatticeInt A, LatticeInt B) {
   if (A.Kind == LatticeInt::Top || B.Kind == LatticeInt::Top ||
       A.Value != B.Value)
     return LatticeInt::top();
-  return A;
-}
-
-/// An A/b cell: ⊥, a known constant, or ⊤.
-struct Cell {
-  enum KindTy { Bot, Val, Top } Kind = Bot;
-  double Value = 0.0;
-};
-
-Cell join(const Cell &A, const Cell &B) {
-  if (A.Kind == Cell::Bot)
-    return B;
-  if (B.Kind == Cell::Bot)
-    return A;
-  if (A.Kind == Cell::Top || B.Kind == Cell::Top || A.Value != B.Value)
-    return {Cell::Top, 0.0};
   return A;
 }
 
@@ -97,10 +53,9 @@ public:
 
     State S;
     S.Scalars.assign(static_cast<size_t>(Work.NumScalarSlots),
-                     LinForm::bottom());
+                     AffineValue::bottom());
     S.Arrays.assign(static_cast<size_t>(Work.NumArraySlots), {});
-    S.A.assign(static_cast<size_t>(Peek) * Push, Cell());
-    S.BVec.assign(static_cast<size_t>(Push), Cell());
+    S.Pushed.assign(static_cast<size_t>(Push), AffineValue::bottom());
 
     execBody(Work.Body, S);
     if (Failed)
@@ -111,19 +66,19 @@ public:
     if (S.PushCount.Kind == LatticeInt::Top || S.PushCount.Value != Push)
       return fail("push count does not match declared push rate");
 
+    // Push j fills column Push-1-j of A and entry Push-1-j of b, with the
+    // paper-orientation row reversal A[e-1-p, col] = In[p].
     Matrix A(static_cast<size_t>(Peek), static_cast<size_t>(Push));
     Vector B(static_cast<size_t>(Push));
-    for (int R = 0; R != Peek; ++R)
-      for (int C = 0; C != Push; ++C) {
-        const Cell &CellV = S.A[static_cast<size_t>(R) * Push + C];
-        if (CellV.Kind != Cell::Val)
-          return fail("A contains a non-constant entry");
-        A.at(static_cast<size_t>(R), static_cast<size_t>(C)) = CellV.Value;
-      }
-    for (int C = 0; C != Push; ++C) {
-      if (S.BVec[static_cast<size_t>(C)].Kind != Cell::Val)
-        return fail("b contains a non-constant entry");
-      B[static_cast<size_t>(C)] = S.BVec[static_cast<size_t>(C)].Value;
+    for (int J = 0; J != Push; ++J) {
+      const AffineValue &V = S.Pushed[static_cast<size_t>(J)];
+      if (!V.isVal())
+        return fail("pushed values differ across data-dependent paths");
+      size_t Col = static_cast<size_t>(Push - 1 - J);
+      for (int P = 0; P != Peek; ++P)
+        A.at(static_cast<size_t>(Peek - 1 - P), Col) =
+            V.In[static_cast<size_t>(P)];
+      B[Col] = V.Const;
     }
     ExtractionResult R;
     R.Node = LinearNode(std::move(A), std::move(B), Peek, Pop, Push);
@@ -132,10 +87,9 @@ public:
 
 private:
   struct State {
-    std::vector<LinForm> Scalars;
-    std::vector<std::vector<LinForm>> Arrays;
-    std::vector<Cell> A;    ///< Peek x Push, row-major, paper orientation
-    std::vector<Cell> BVec; ///< Push entries, paper orientation
+    std::vector<AffineValue> Scalars;
+    std::vector<std::vector<AffineValue>> Arrays;
+    std::vector<AffineValue> Pushed; ///< in push order; ⊥ until pushed
     LatticeInt PopCount;
     LatticeInt PushCount;
   };
@@ -147,49 +101,41 @@ private:
     return {std::nullopt, Reason};
   }
 
-  /// BuildCoeff (Algorithm 1): unit coefficient for peek(Pos), expressed
-  /// naturally (Coeffs[p] multiplies peek(p)); the paper-orientation
-  /// reversal happens when columns are stored.
-  LinForm buildCoeff(int Pos) {
-    LinForm V;
-    V.Kind = LinForm::Val;
-    V.Coeffs = Vector(static_cast<size_t>(Peek));
-    V.Coeffs[static_cast<size_t>(Pos)] = 1.0;
-    return V;
+  AffineValue constant(double C) const {
+    return AffineValue::constant(C, static_cast<size_t>(Peek));
   }
 
-  LinForm evalExpr(const Expr &E, State &S) {
+  AffineValue evalExpr(const Expr &E, State &S) {
     if (Failed)
-      return LinForm::top();
+      return AffineValue::top();
     switch (E.kind()) {
     case ExprKind::Const:
-      return LinForm::constant(wir::cast<ConstExpr>(&E)->Value,
-                               static_cast<size_t>(Peek));
+      return constant(wir::cast<ConstExpr>(&E)->Value);
     case ExprKind::VarRef: {
       const auto *V = wir::cast<VarRefExpr>(&E);
-      const LinForm &F = S.Scalars[static_cast<size_t>(V->Slot)];
-      if (F.Kind == LinForm::Bot) {
+      const AffineValue &F = S.Scalars[static_cast<size_t>(V->Slot)];
+      if (F.isBot()) {
         fail("read of unassigned variable '" + V->Name + "'");
-        return LinForm::top();
+        return AffineValue::top();
       }
       return F;
     }
     case ExprKind::ArrayRef: {
       const auto *A = wir::cast<ArrayRefExpr>(&E);
-      LinForm Idx = evalExpr(*A->Index, S);
+      AffineValue Idx = evalExpr(*A->Index, S);
       if (!Idx.isConst()) {
         fail("array index not a compile-time constant");
-        return LinForm::top();
+        return AffineValue::top();
       }
       auto &Arr = S.Arrays[static_cast<size_t>(A->Slot)];
       int I = static_cast<int>(std::lround(Idx.Const));
       if (I < 0 || static_cast<size_t>(I) >= Arr.size()) {
         fail("array read out of range");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      if (Arr[static_cast<size_t>(I)].Kind == LinForm::Bot) {
+      if (Arr[static_cast<size_t>(I)].isBot()) {
         fail("read of unassigned array element");
-        return LinForm::top();
+        return AffineValue::top();
       }
       return Arr[static_cast<size_t>(I)];
     }
@@ -198,147 +144,68 @@ private:
       const FieldDef &FD = F.fields()[static_cast<size_t>(FR->FieldIndex)];
       // Persistent (mutable) state: any access is ⊤ (Section 3.2).
       if (FD.IsMutable)
-        return LinForm::top();
+        return AffineValue::top();
       if (!FR->Index)
-        return LinForm::constant(FD.Init[0], static_cast<size_t>(Peek));
-      LinForm Idx = evalExpr(*FR->Index, S);
+        return constant(FD.Init[0]);
+      AffineValue Idx = evalExpr(*FR->Index, S);
       if (!Idx.isConst())
-        return LinForm::top();
+        return AffineValue::top();
       int I = static_cast<int>(std::lround(Idx.Const));
       if (I < 0 || static_cast<size_t>(I) >= FD.Init.size()) {
         fail("const field read out of range");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      return LinForm::constant(FD.Init[static_cast<size_t>(I)],
-                               static_cast<size_t>(Peek));
+      return constant(FD.Init[static_cast<size_t>(I)]);
     }
     case ExprKind::Peek: {
-      LinForm Idx = evalExpr(*wir::cast<PeekExpr>(&E)->Index, S);
+      AffineValue Idx = evalExpr(*wir::cast<PeekExpr>(&E)->Index, S);
       if (!Idx.isConst()) {
         fail("peek index not a compile-time constant");
-        return LinForm::top();
+        return AffineValue::top();
       }
       if (S.PopCount.Kind == LatticeInt::Top) {
         fail("peek with unresolved pop count");
-        return LinForm::top();
+        return AffineValue::top();
       }
       int Pos = S.PopCount.Value + static_cast<int>(std::lround(Idx.Const));
       if (Pos < 0 || Pos >= Peek) {
         fail("peek beyond declared peek rate");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      return buildCoeff(Pos);
+      // BuildCoeff (Algorithm 1): a unit coefficient on peek(Pos).
+      return AffineValue::input(static_cast<size_t>(Pos),
+                                static_cast<size_t>(Peek));
     }
     case ExprKind::Pop: {
       if (S.PopCount.Kind == LatticeInt::Top) {
         fail("pop with unresolved pop count");
-        return LinForm::top();
+        return AffineValue::top();
       }
       if (S.PopCount.Value >= Peek) {
         fail("pop beyond declared rates");
-        return LinForm::top();
+        return AffineValue::top();
       }
-      LinForm V = buildCoeff(S.PopCount.Value);
-      ++S.PopCount.Value;
-      return V;
+      return AffineValue::input(static_cast<size_t>(S.PopCount.Value++),
+                                static_cast<size_t>(Peek));
     }
-    case ExprKind::Binary:
-      return evalBinary(*wir::cast<BinaryExpr>(&E), S);
+    case ExprKind::Binary: {
+      const auto *B = wir::cast<BinaryExpr>(&E);
+      AffineValue L = evalExpr(*B->LHS, S);
+      AffineValue R = evalExpr(*B->RHS, S);
+      if (Failed)
+        return AffineValue::top();
+      return affBinary(B->Op, L, R);
+    }
     case ExprKind::Unary: {
       const auto *U = wir::cast<UnaryExpr>(&E);
-      LinForm V = evalExpr(*U->Operand, S);
-      if (U->Op == UnOp::Neg) {
-        if (!V.isVal())
-          return V.Kind == LinForm::Top ? LinForm::top() : V;
-        for (size_t I = 0; I != V.Coeffs.size(); ++I)
-          V.Coeffs[I] = -V.Coeffs[I];
-        V.Const = -V.Const;
-        return V;
-      }
-      // Logical not: constant-foldable only.
-      if (V.isConst())
-        return LinForm::constant(V.Const == 0.0 ? 1.0 : 0.0,
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
+      return affUnary(U->Op, evalExpr(*U->Operand, S));
     }
     case ExprKind::Call: {
       const auto *C = wir::cast<CallExpr>(&E);
-      LinForm V = evalExpr(*C->Arg, S);
-      if (V.isConst())
-        return LinForm::constant(evalIntrinsic(C->Fn, V.Const),
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
+      return affIntrinsic(C->Fn, evalExpr(*C->Arg, S));
     }
     }
     unreachable("unknown expr kind");
-  }
-
-  LinForm evalBinary(const BinaryExpr &B, State &S) {
-    LinForm L = evalExpr(*B.LHS, S);
-    LinForm R = evalExpr(*B.RHS, S);
-    if (Failed)
-      return LinForm::top();
-    switch (B.Op) {
-    case BinOp::Add:
-    case BinOp::Sub: {
-      if (!L.isVal() || !R.isVal())
-        return LinForm::top();
-      LinForm V = L;
-      double Sign = B.Op == BinOp::Add ? 1.0 : -1.0;
-      for (size_t I = 0; I != V.Coeffs.size(); ++I)
-        V.Coeffs[I] += Sign * R.Coeffs[I];
-      V.Const += Sign * R.Const;
-      return V;
-    }
-    case BinOp::Mul: {
-      if (!L.isVal() || !R.isVal())
-        return LinForm::top();
-      if (L.isConst())
-        return scale(R, L.Const);
-      if (R.isConst())
-        return scale(L, R.Const);
-      return LinForm::top();
-    }
-    case BinOp::Div: {
-      // Linear only when the divisor is a non-zero constant; a zero
-      // constant dividend over a non-constant divisor is NOT zero (the
-      // runtime divisor might be singular — footnote in Section 3.2).
-      if (L.isVal() && R.isConst() && R.Const != 0.0)
-        return scale(L, 1.0 / R.Const);
-      return LinForm::top();
-    }
-    default: {
-      // Nonlinear ops (mod, comparisons, logicals): constants fold.
-      if (L.isConst() && R.isConst())
-        return LinForm::constant(foldNonLinear(B.Op, L.Const, R.Const),
-                                 static_cast<size_t>(Peek));
-      return LinForm::top();
-    }
-    }
-  }
-
-  static double foldNonLinear(BinOp Op, double L, double R) {
-    switch (Op) {
-    case BinOp::Mod:  return std::fmod(L, R);
-    case BinOp::Lt:   return L < R ? 1.0 : 0.0;
-    case BinOp::Le:   return L <= R ? 1.0 : 0.0;
-    case BinOp::Gt:   return L > R ? 1.0 : 0.0;
-    case BinOp::Ge:   return L >= R ? 1.0 : 0.0;
-    case BinOp::Eq:   return L == R ? 1.0 : 0.0;
-    case BinOp::Ne:   return L != R ? 1.0 : 0.0;
-    case BinOp::LAnd: return L != 0.0 && R != 0.0 ? 1.0 : 0.0;
-    case BinOp::LOr:  return L != 0.0 || R != 0.0 ? 1.0 : 0.0;
-    default:
-      unreachable("not a foldable nonlinear op");
-    }
-  }
-
-  static LinForm scale(const LinForm &V, double C) {
-    LinForm R = V;
-    for (size_t I = 0; I != R.Coeffs.size(); ++I)
-      R.Coeffs[I] *= C;
-    R.Const *= C;
-    return R;
   }
 
   void execBody(const StmtList &Body, State &S) {
@@ -353,15 +220,15 @@ private:
     switch (St.kind()) {
     case StmtKind::Assign: {
       const auto *A = wir::cast<AssignStmt>(&St);
-      LinForm V = evalExpr(*A->Value, S);
+      AffineValue V = evalExpr(*A->Value, S);
       if (!Failed)
-        S.Scalars[static_cast<size_t>(A->Slot)] = V;
+        S.Scalars[static_cast<size_t>(A->Slot)] = std::move(V);
       return;
     }
     case StmtKind::ArrayAssign: {
       const auto *A = wir::cast<ArrayAssignStmt>(&St);
-      LinForm Idx = evalExpr(*A->Index, S);
-      LinForm V = evalExpr(*A->Value, S);
+      AffineValue Idx = evalExpr(*A->Index, S);
+      AffineValue V = evalExpr(*A->Value, S);
       if (Failed)
         return;
       if (!Idx.isConst()) {
@@ -374,7 +241,7 @@ private:
         fail("array store out of range");
         return;
       }
-      Arr[static_cast<size_t>(I)] = V;
+      Arr[static_cast<size_t>(I)] = std::move(V);
       return;
     }
     case StmtKind::FieldAssign: {
@@ -390,14 +257,14 @@ private:
     case StmtKind::LocalArray: {
       const auto *L = wir::cast<LocalArrayStmt>(&St);
       S.Arrays[static_cast<size_t>(L->Slot)].assign(
-          static_cast<size_t>(L->Size), LinForm::bottom());
+          static_cast<size_t>(L->Size), AffineValue::bottom());
       return;
     }
     case StmtKind::Push: {
-      LinForm V = evalExpr(*wir::cast<PushStmt>(&St)->Value, S);
+      AffineValue V = evalExpr(*wir::cast<PushStmt>(&St)->Value, S);
       if (Failed)
         return;
-      if (V.Kind != LinForm::Val) {
+      if (!V.isVal()) {
         fail("pushed value is not an affine function of the input");
         return;
       }
@@ -409,18 +276,9 @@ private:
         fail("push beyond declared push rate");
         return;
       }
-      // Column Push-1-pushcount of A gets the coefficient vector with the
-      // paper-orientation row reversal: A[e-1-p, col] = Coeffs[p].
-      int Col = Push - 1 - S.PushCount.Value;
-      for (int P = 0; P != Peek; ++P) {
-        Cell &C = S.A[static_cast<size_t>(Peek - 1 - P) * Push + Col];
-        assert(C.Kind == Cell::Bot && "column written twice");
-        C = {Cell::Val, V.Coeffs[static_cast<size_t>(P)]};
-      }
-      Cell &BC = S.BVec[static_cast<size_t>(Col)];
-      assert(BC.Kind == Cell::Bot && "offset written twice");
-      BC = {Cell::Val, V.Const};
-      ++S.PushCount.Value;
+      AffineValue &Slot = S.Pushed[static_cast<size_t>(S.PushCount.Value++)];
+      assert(Slot.isBot() && "push slot written twice");
+      Slot = std::move(V);
       return;
     }
     case StmtKind::PopDiscard: {
@@ -433,8 +291,8 @@ private:
     }
     case StmtKind::For: {
       const auto *F2 = wir::cast<ForStmt>(&St);
-      LinForm Begin = evalExpr(*F2->Begin, S);
-      LinForm End = evalExpr(*F2->End, S);
+      AffineValue Begin = evalExpr(*F2->Begin, S);
+      AffineValue End = evalExpr(*F2->End, S);
       if (Failed)
         return;
       if (!Begin.isConst() || !End.isConst()) {
@@ -448,15 +306,14 @@ private:
         return;
       }
       for (int I = B; I < E && !Failed; ++I) {
-        S.Scalars[static_cast<size_t>(F2->Slot)] =
-            LinForm::constant(I, static_cast<size_t>(Peek));
+        S.Scalars[static_cast<size_t>(F2->Slot)] = constant(I);
         execBody(F2->Body, S);
       }
       return;
     }
     case StmtKind::If: {
       const auto *I = wir::cast<IfStmt>(&St);
-      LinForm Cond = evalExpr(*I->Cond, S);
+      AffineValue Cond = evalExpr(*I->Cond, S);
       if (Failed)
         return;
       // Constant condition: execute only the taken arm.
@@ -485,28 +342,26 @@ private:
     unreachable("unknown stmt kind");
   }
 
+  static std::vector<AffineValue> joinAll(const std::vector<AffineValue> &A,
+                                          const std::vector<AffineValue> &B) {
+    std::vector<AffineValue> R(A.size());
+    for (size_t I = 0; I != A.size(); ++I)
+      R[I] = affJoin(A[I], B[I]);
+    return R;
+  }
+
   State joinStates(const State &A, const State &B) {
     State R;
-    R.Scalars.resize(A.Scalars.size());
-    for (size_t I = 0; I != A.Scalars.size(); ++I)
-      R.Scalars[I] = join(A.Scalars[I], B.Scalars[I]);
+    R.Scalars = joinAll(A.Scalars, B.Scalars);
     R.Arrays.resize(A.Arrays.size());
-    for (size_t I = 0; I != A.Arrays.size(); ++I) {
-      if (A.Arrays[I].size() != B.Arrays[I].size()) {
-        R.Arrays[I].assign(std::max(A.Arrays[I].size(), B.Arrays[I].size()),
-                           LinForm::top());
-        continue;
-      }
-      R.Arrays[I].resize(A.Arrays[I].size());
-      for (size_t J = 0; J != A.Arrays[I].size(); ++J)
-        R.Arrays[I][J] = join(A.Arrays[I][J], B.Arrays[I][J]);
-    }
-    R.A.resize(A.A.size());
-    for (size_t I = 0; I != A.A.size(); ++I)
-      R.A[I] = join(A.A[I], B.A[I]);
-    R.BVec.resize(A.BVec.size());
-    for (size_t I = 0; I != A.BVec.size(); ++I)
-      R.BVec[I] = join(A.BVec[I], B.BVec[I]);
+    for (size_t I = 0; I != A.Arrays.size(); ++I)
+      R.Arrays[I] =
+          A.Arrays[I].size() == B.Arrays[I].size()
+              ? joinAll(A.Arrays[I], B.Arrays[I])
+              : std::vector<AffineValue>(
+                    std::max(A.Arrays[I].size(), B.Arrays[I].size()),
+                    AffineValue::top());
+    R.Pushed = joinAll(A.Pushed, B.Pushed);
     R.PopCount = join(A.PopCount, B.PopCount);
     R.PushCount = join(A.PushCount, B.PushCount);
     return R;

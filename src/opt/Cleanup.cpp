@@ -444,135 +444,162 @@ std::string slin::verifyStreamRates(const Stream &Root) {
 // VerifyRates: lowered schedule
 //===----------------------------------------------------------------------===//
 
+std::vector<NodeIO> slin::declaredIO(const flat::FlatGraph &G) {
+  std::vector<NodeIO> IO(G.Nodes.size());
+  for (size_t I = 0; I != G.Nodes.size(); ++I) {
+    const flat::Node &N = G.Nodes[I];
+    auto Rates = [&](FiringIO &F, bool InitFiring) {
+      for (int C : N.inputChannels())
+        F.In.push_back({C, N.peekNeedOn(C, InitFiring),
+                        N.popsFrom(C, InitFiring)});
+      for (int C : N.outputChannels())
+        F.Out.push_back({C, 0, N.pushesTo(C, InitFiring)});
+    };
+    Rates(IO[I].Steady, false);
+    IO[I].HasInit = N.Kind == flat::NodeKind::Filter && N.F->hasInitWork();
+    if (IO[I].HasInit)
+      Rates(IO[I].Init, true);
+  }
+  return IO;
+}
+
+std::string
+ReplayRecord::Program::firingMismatch(const flat::FlatGraph &G) const {
+  for (size_t I = 0; I != G.Nodes.size(); ++I)
+    if (Fired[I] != Scheduled[I])
+      return std::string(Name) + " program fires '" + G.Nodes[I].Name +
+             "' " + std::to_string(Fired[I]) + " times, schedule says " +
+             std::to_string(Scheduled[I]);
+  return "";
+}
+
+const ReplayRecord::Program *ReplayRecord::failed() const {
+  for (const Program &P : Programs)
+    if (!P.Err.empty())
+      return &P;
+  return nullptr;
+}
+
+int64_t ReplayRecord::bufferNeed(size_t C) const {
+  int64_t Need = 0;
+  for (const Program &P : Programs) {
+    int64_t End;
+    if (__builtin_add_overflow(P.StartLive[C], P.Pushed[C], &End))
+      return INT64_MAX;
+    Need = std::max(Need, End);
+  }
+  return Need;
+}
+
 namespace {
 
-/// Firing-accurate symbolic replay of a firing program, mirroring the
-/// scheduler's SimState (sched/Schedule.cpp) and the compiled engine's
-/// init-firing rule (first-ever firing of an init-work filter uses init
-/// rates) — but checking every precondition instead of asserting.
-struct ScheduleReplay {
-  const flat::FlatGraph &G;
-  const StaticSchedule &S;
-  std::vector<int64_t> Count;     ///< live items per channel
-  std::vector<int64_t> HighWater; ///< running max of Count
-  std::vector<bool> FiredOnce;    ///< per node, across the whole run
-  // Per-program accounting, reset by beginProgram().
-  std::vector<int64_t> Fired;     ///< firings per node
-  std::vector<int64_t> Pushed;    ///< items appended per channel
-  int64_t ExtPops = 0;
-  int64_t ExtPushes = 0;
-  std::string Err;
+/// A += K * Rate; false when the result leaves int64_t.
+bool addTimes(int64_t &A, int64_t K, int64_t Rate) {
+  int64_t P;
+  return !__builtin_mul_overflow(K, Rate, &P) &&
+         !__builtin_add_overflow(A, P, &A);
+}
 
-  ScheduleReplay(const flat::FlatGraph &G, const StaticSchedule &S)
-      : G(G), S(S), Count(G.numChannels(), 0),
-        HighWater(G.numChannels(), 0), FiredOnce(G.Nodes.size(), false),
-        Fired(G.Nodes.size(), 0), Pushed(G.numChannels(), 0) {
-    for (size_t C = 0; C != G.numChannels(); ++C) {
-      Count[C] = static_cast<int64_t>(G.InitialItems[C].size());
-      HighWater[C] = Count[C];
-    }
-  }
+} // namespace
 
-  bool failed() const { return !Err.empty(); }
-  void fail(const std::string &M) {
-    if (Err.empty())
-      Err = M;
-  }
+ReplayRecord slin::replayFiringPrograms(const flat::FlatGraph &G,
+                                        const StaticSchedule &S,
+                                        const std::vector<NodeIO> &IO) {
+  const size_t NumNodes = G.Nodes.size();
+  ReplayRecord Rec;
+  std::vector<int64_t> Live(G.numChannels());
+  for (size_t C = 0; C != Live.size(); ++C)
+    Live[C] = static_cast<int64_t>(G.InitialItems[C].size());
+  Rec.HighWater = Live;
+  std::vector<bool> FiredOnce(NumNodes, false);
 
-  void beginProgram() {
-    std::fill(Fired.begin(), Fired.end(), 0);
-    std::fill(Pushed.begin(), Pushed.end(), 0);
-    ExtPops = ExtPushes = 0;
-  }
-
-  /// Applies \p K same-rate firings of node \p I (InitFiring selects the
-  /// init rates of an init-work filter's first firing).
-  void fire(size_t I, int64_t K, bool InitFiring, const char *Phase) {
-    const flat::Node &N = G.Nodes[I];
-    for (int Chan : N.inputChannels()) {
-      int64_t Need = N.peekNeedOn(Chan, InitFiring);
-      int64_t Pop = N.popsFrom(Chan, InitFiring);
-      if (Chan == G.ExternalIn) {
-        ExtPops += K * Pop; // availability is the runtime's contract
+  // K same-rate firings of node I: the first needs its input window, each
+  // further one pops more. The runtime supplies external input.
+  auto Fire = [&](ReplayRecord::Program &P, size_t I, const FiringIO &F,
+                  int64_t K) {
+    const std::string &Name = G.Nodes[I].Name;
+    auto Overflow = [&] {
+      P.Err = std::string(P.Name) + " program's item counts overflow at '" +
+              Name + "'";
+      return false;
+    };
+    for (const FiringIO::Port &In : F.In) {
+      if (In.Chan == G.ExternalIn) {
+        if (!addTimes(P.ExtPops, K, In.Items))
+          return Overflow();
         continue;
       }
-      int64_t Avail = Count[static_cast<size_t>(Chan)];
-      if (Avail < Need + (K - 1) * Pop) {
-        fail(std::string(Phase) + " program fires '" + N.Name +
-             "' without its input window on channel " +
-             std::to_string(Chan) + " (" + std::to_string(Avail) +
-             " live, needs " + std::to_string(Need + (K - 1) * Pop) + ")");
-        return;
+      int64_t Need = std::max(In.Need, In.Items);
+      if (!addTimes(Need, K - 1, In.Items))
+        return Overflow();
+      int64_t &Avail = Live[static_cast<size_t>(In.Chan)];
+      if (Avail < Need) {
+        P.Err = std::string(P.Name) + " program fires '" + Name +
+                "' without its input window on channel " +
+                std::to_string(In.Chan) + " (" + std::to_string(Avail) +
+                " live, needs " + std::to_string(Need) + ")";
+        return false;
       }
-      Count[static_cast<size_t>(Chan)] -= K * Pop;
+      if (!addTimes(Avail, K, -In.Items))
+        return Overflow();
     }
-    for (int Chan : N.outputChannels()) {
-      int64_t Push = N.pushesTo(Chan, InitFiring);
-      size_t C = static_cast<size_t>(Chan);
-      Count[C] += K * Push;
-      Pushed[C] += K * Push;
-      HighWater[C] = std::max(HighWater[C], Count[C]);
-      if (Chan == G.ExternalOut)
-        ExtPushes += K * Push;
+    for (const FiringIO::Port &Out : F.Out) {
+      size_t C = static_cast<size_t>(Out.Chan);
+      if (!addTimes(Live[C], K, Out.Items) ||
+          !addTimes(P.Pushed[C], K, Out.Items) ||
+          (Out.Chan == G.ExternalOut &&
+           !addTimes(P.ExtPushes, K, Out.Items)))
+        return Overflow();
+      Rec.HighWater[C] = std::max(Rec.HighWater[C], Live[C]);
     }
-    Fired[I] += K;
-  }
+    return addTimes(P.Fired[I], K, 1) || Overflow();
+  };
 
-  void runProgram(const FiringProgram &P, const char *Phase) {
-    for (const FiringStep &Step : P) {
-      if (failed())
-        return;
-      if (Step.Node < 0 ||
-          static_cast<size_t>(Step.Node) >= G.Nodes.size() ||
-          Step.Count < 1) {
-        fail(std::string(Phase) + " program contains a malformed step");
-        return;
+  // A wrapped product still reads as a mismatch, without the UB.
+  std::vector<int64_t> BatchFirings(NumNodes);
+  for (size_t I = 0; I != NumNodes; ++I)
+    (void)__builtin_mul_overflow(S.Repetitions[I], S.BatchIterations,
+                                 &BatchFirings[I]);
+  const struct {
+    const char *Name;
+    const FiringProgram &Steps;
+    const std::vector<int64_t> &Scheduled;
+  } Progs[] = {{"init", S.InitProgram, S.InitFirings},
+               {"batch", S.BatchProgram, BatchFirings},
+               {"steady", S.SteadyProgram, S.Repetitions}};
+  bool Failed = false;
+  for (size_t K = 0; K != Rec.Programs.size(); ++K) {
+    ReplayRecord::Program &P = Rec.Programs[K];
+    P.Name = Progs[K].Name;
+    P.Scheduled = Progs[K].Scheduled;
+    P.Fired.assign(NumNodes, 0);
+    P.Pushed.assign(Live.size(), 0);
+    P.StartLive = Live;
+    for (const FiringStep &Step : Progs[K].Steps) {
+      if (Failed)
+        break;
+      if (!validStep(Step, NumNodes)) {
+        P.Err = std::string(P.Name) + " program contains a malformed step";
+        break;
       }
       size_t I = static_cast<size_t>(Step.Node);
-      const flat::Node &N = G.Nodes[I];
-      int64_t K = Step.Count;
-      bool InitPending = !FiredOnce[I] &&
-                         N.Kind == flat::NodeKind::Filter &&
-                         N.F->hasInitWork();
+      int64_t N = Step.Count;
+      if (IO[I].HasInit && !FiredOnce[I]) {
+        if (!Fire(P, I, IO[I].Init, 1))
+          break;
+        --N;
+      }
       FiredOnce[I] = true;
-      if (InitPending) {
-        fire(I, 1, /*InitFiring=*/true, Phase);
-        --K;
-      }
-      if (K > 0 && !failed())
-        fire(I, K, /*InitFiring=*/false, Phase);
+      if (N > 0 && !Fire(P, I, IO[I].Steady, N))
+        break;
     }
+    P.EndLive = Live;
+    Failed = Failed || !P.Err.empty();
   }
+  return Rec;
+}
 
-  /// Compares this program's firing totals against \p Expected.
-  void checkFirings(const std::vector<int64_t> &Expected, const char *Phase) {
-    if (failed())
-      return;
-    for (size_t I = 0; I != G.Nodes.size(); ++I)
-      if (Fired[I] != Expected[I]) {
-        fail(std::string(Phase) + " program fires '" + G.Nodes[I].Name +
-             "' " + std::to_string(Fired[I]) + " times, schedule says " +
-             std::to_string(Expected[I]));
-        return;
-      }
-  }
-
-  void checkCounts(const std::vector<int64_t> &Expected, const char *What) {
-    if (failed())
-      return;
-    for (size_t C = 0; C != G.numChannels(); ++C) {
-      if (static_cast<int>(C) == G.ExternalIn ||
-          static_cast<int>(C) == G.ExternalOut)
-        continue;
-      if (Count[C] != Expected[C]) {
-        fail(std::string(What) + ": channel " + std::to_string(C) +
-             " holds " + std::to_string(Count[C]) + " items, schedule says " +
-             std::to_string(Expected[C]));
-        return;
-      }
-    }
-  }
-};
+namespace {
 
 std::string checkVec(const char *Name, size_t Got, size_t Want) {
   if (Got == Want)
@@ -653,73 +680,51 @@ std::string slin::verifySchedule(const flat::FlatGraph &G,
 
   // Replay init, batch, then steady from one shared state — the order
   // the scheduler derived them in, so high-water marks line up exactly.
-  ScheduleReplay R(G, S);
-
-  R.beginProgram();
-  R.runProgram(S.InitProgram, "init");
-  R.checkFirings(S.InitFirings, "init");
-  R.checkCounts(S.PostInitLive, "after the init program");
-  if (R.failed())
-    return R.Err;
-  if (R.ExtPops != S.InitExternalPops)
-    return "init program pops " + std::to_string(R.ExtPops) +
-           " external items, schedule says " +
-           std::to_string(S.InitExternalPops);
-  if (R.ExtPushes != S.InitExternalPushes)
-    return "init program pushes " + std::to_string(R.ExtPushes) +
-           " external items, schedule says " +
-           std::to_string(S.InitExternalPushes);
-  if (S.InitExternalNeed !=
-      std::max(S.InitExternalPops + ExternalExtra, InitPeekMax))
-    return "InitExternalNeed does not cover the init pops plus lookahead";
-  std::vector<int64_t> InitBuf(NumChans);
-  for (size_t C = 0; C != NumChans; ++C)
-    InitBuf[C] =
-        static_cast<int64_t>(G.InitialItems[C].size()) + R.Pushed[C];
-
-  std::vector<int64_t> Expected(NumNodes);
-  for (size_t I = 0; I != NumNodes; ++I)
-    Expected[I] = S.Repetitions[I] * S.BatchIterations;
-  R.beginProgram();
-  R.runProgram(S.BatchProgram, "batch");
-  R.checkFirings(Expected, "batch");
-  R.checkCounts(S.PostInitLive, "after the batch program");
-  if (R.failed())
-    return R.Err;
-  if (R.ExtPops != S.BatchExternalPops ||
-      S.BatchExternalNeed != S.BatchExternalPops + ExternalExtra ||
-      R.ExtPushes != S.BatchExternalPushes)
-    return "batch program external I/O disagrees with the schedule";
-  std::vector<int64_t> BatchBuf(NumChans);
-  for (size_t C = 0; C != NumChans; ++C)
-    BatchBuf[C] = S.PostInitLive[C] + R.Pushed[C];
-
-  R.beginProgram();
-  R.runProgram(S.SteadyProgram, "steady");
-  R.checkFirings(S.Repetitions, "steady");
-  R.checkCounts(S.PostInitLive, "after the steady program");
-  if (R.failed())
-    return R.Err;
-  if (R.ExtPops != S.SteadyExternalPops ||
-      S.SteadyExternalNeed != S.SteadyExternalPops + ExternalExtra ||
-      R.ExtPushes != S.SteadyExternalPushes)
-    return "steady program external I/O disagrees with the schedule";
+  // Every program leaves the channels as the init program did.
+  ReplayRecord Rec = replayFiringPrograms(G, S, declaredIO(G));
+  const int64_t ExtPops[] = {S.InitExternalPops, S.BatchExternalPops,
+                             S.SteadyExternalPops};
+  const int64_t ExtNeed[] = {S.InitExternalNeed, S.BatchExternalNeed,
+                             S.SteadyExternalNeed};
+  const int64_t ExtPushes[] = {S.InitExternalPushes, S.BatchExternalPushes,
+                               S.SteadyExternalPushes};
+  const int64_t PeekMax[] = {InitPeekMax, 0, 0};
+  auto External = [&](size_t C) {
+    return static_cast<int>(C) == G.ExternalIn ||
+           static_cast<int>(C) == G.ExternalOut;
+  };
+  for (size_t K = 0; K != Rec.Programs.size(); ++K) {
+    const ReplayRecord::Program &P = Rec.Programs[K];
+    if (!P.Err.empty())
+      return P.Err;
+    if (!(E = P.firingMismatch(G)).empty())
+      return E;
+    for (size_t C = 0; C != NumChans; ++C)
+      if (!External(C) && P.EndLive[C] != S.PostInitLive[C])
+        return "after the " + std::string(P.Name) + " program: channel " +
+               std::to_string(C) + " holds " + std::to_string(P.EndLive[C]) +
+               " items, schedule says " + std::to_string(S.PostInitLive[C]);
+    int64_t Need = std::max(P.ExtPops + ExternalExtra, PeekMax[K]);
+    if (P.ExtPops != ExtPops[K] || P.ExtPushes != ExtPushes[K] ||
+        Need != ExtNeed[K])
+      return std::string(P.Name) + " program external I/O (pops " +
+             std::to_string(P.ExtPops) + ", pushes " +
+             std::to_string(P.ExtPushes) + ", needs " + std::to_string(Need) +
+             ") disagrees with the schedule (pops " +
+             std::to_string(ExtPops[K]) + ", pushes " +
+             std::to_string(ExtPushes[K]) + ", needs " +
+             std::to_string(ExtNeed[K]) + ")";
+  }
 
   for (size_t C = 0; C != NumChans; ++C) {
-    if (R.HighWater[C] != S.ChannelHighWater[C])
+    if (Rec.HighWater[C] != S.ChannelHighWater[C])
       return "channel " + std::to_string(C) + " high-water mark is " +
-             std::to_string(R.HighWater[C]) + ", schedule says " +
+             std::to_string(Rec.HighWater[C]) + ", schedule says " +
              std::to_string(S.ChannelHighWater[C]);
-    bool External = static_cast<int>(C) == G.ExternalIn ||
-                    static_cast<int>(C) == G.ExternalOut;
-    if (External)
-      continue;
-    int64_t SteadyBuf = S.PostInitLive[C] + R.Pushed[C];
-    int64_t Want = std::max(InitBuf[C], std::max(BatchBuf[C], SteadyBuf));
-    if (S.ChannelBufSize[C] != Want)
+    if (!External(C) && S.ChannelBufSize[C] != Rec.bufferNeed(C))
       return "channel " + std::to_string(C) + " buffer capacity is " +
              std::to_string(S.ChannelBufSize[C]) + ", replay needs " +
-             std::to_string(Want);
+             std::to_string(Rec.bufferNeed(C));
   }
   return "";
 }

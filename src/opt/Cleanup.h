@@ -31,13 +31,20 @@
 ///    the push/pop/peek balance equations of the (rewritten) stream
 ///    hierarchy and reports the first inconsistency as a string instead
 ///    of executing anything; verifySchedule replays a lowered program's
-///    init/steady/batch firing programs symbolically against the flat
+///    init/batch/steady firing programs symbolically against the flat
 ///    graph and cross-checks every cached StaticSchedule field
 ///    (repetitions, firing counts, channel occupancy, high-water marks,
-///    buffer capacities, external I/O accounting). The pipeline runs
-///    them after every rewrite when PipelineOptions::VerifyAfterEachPass
-///    is set (default: the SLIN_VERIFY environment variable), failing
-///    fast with the offending pass's name.
+///    buffer capacities, external I/O accounting) for exact equality.
+///    The pipeline runs them after every rewrite when
+///    PipelineOptions::VerifyAfterEachPass is set (default: the
+///    SLIN_VERIFY environment variable), failing fast with the offending
+///    pass's name.
+///
+/// The replay itself, replayFiringPrograms, serves both schedule
+/// verifiers: verifySchedule feeds it the declared rates, and the
+/// linter's verify-bounds (verify/Lint.h) feeds it rates re-derived from
+/// the op tapes and checks the same record against upper bounds. It
+/// applies each step's firings at once, so it costs O(steps).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +54,10 @@
 #include "graph/Stream.h"
 #include "opt/LinearReplacement.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace slin {
 
@@ -99,12 +108,71 @@ bool hasObservableEffects(const Stream &S);
 /// rejects negative rates, peek < pop windows and malformed init rates.
 std::string verifyStreamRates(const Stream &Root);
 
+/// What one firing of a node needs and does: on each input channel the
+/// items that must be live (Need) and the items it pops, on each output
+/// channel the items it pushes.
+struct FiringIO {
+  struct Port {
+    int Chan = -1;
+    int64_t Need = 0;  ///< inputs only
+    int64_t Items = 0; ///< popped (inputs) or pushed (outputs)
+  };
+  std::vector<Port> In, Out;
+};
+
+/// A node's steady firing, and (HasInit) the first firing of a filter
+/// with init work.
+struct NodeIO {
+  FiringIO Steady, Init;
+  bool HasInit = false;
+};
+
+/// Every node's declared I/O (flat::Node::peekNeedOn/popsFrom/pushesTo).
+std::vector<NodeIO> declaredIO(const flat::FlatGraph &G);
+
+/// What replaying a schedule's init, batch and steady firing programs, in
+/// that order and from one shared channel state, does to the graph.
+struct ReplayRecord {
+  struct Program {
+    const char *Name = "";          ///< "init", "batch" or "steady"
+    std::vector<int64_t> Scheduled; ///< firings per node the schedule says
+    std::vector<int64_t> Fired;     ///< firings per node replayed
+    std::vector<int64_t> StartLive; ///< live items per channel at start
+    std::vector<int64_t> EndLive;   ///< ... and at the end
+    std::vector<int64_t> Pushed;    ///< items appended per channel
+    int64_t ExtPops = 0, ExtPushes = 0;
+    /// A malformed step, an unmet input window or an item count that
+    /// overflows. The replay stops there; later programs do not run.
+    std::string Err;
+
+    /// The first node whose replayed firings differ from Scheduled
+    /// ("" when none does).
+    std::string firingMismatch(const flat::FlatGraph &G) const;
+  };
+  std::array<Program, 3> Programs; ///< init, batch, steady
+  std::vector<int64_t> HighWater;  ///< max live items per channel
+
+  /// The first program that failed, or null.
+  const Program *failed() const;
+  /// Highest flat-buffer position channel \p C reaches: live items at a
+  /// program's start plus the items appended during it, over programs.
+  int64_t bufferNeed(size_t C) const;
+};
+
+/// Replays \p S's firing programs over \p G with each node firing as \p IO
+/// says. Each step's firings are applied at once (the first firing of a
+/// HasInit node split off), so the cost is O(steps), not O(firings). \p S's
+/// per-node vectors must be sized to \p G.
+ReplayRecord replayFiringPrograms(const flat::FlatGraph &G,
+                                  const StaticSchedule &S,
+                                  const std::vector<NodeIO> &IO);
+
 /// Cross-checks \p S against \p G: independent balance of Repetitions, a
-/// firing-accurate symbolic replay of the init, batch and steady
-/// programs (channel underflow, unsatisfied peek windows, firing-count
-/// totals), and equality of every derived schedule field (PostInitLive,
-/// ChannelHighWater, ChannelBufSize, external pops/needs/pushes).
-/// Returns the first mismatch, "" when consistent.
+/// replay of the init, batch and steady programs with the declared rates
+/// (malformed steps, unmet input windows, firing totals), and equality of
+/// every derived schedule field (PostInitLive, ChannelHighWater,
+/// ChannelBufSize, external pops/needs/pushes). Returns the first
+/// mismatch, "" when consistent.
 std::string verifySchedule(const flat::FlatGraph &G, const StaticSchedule &S);
 
 } // namespace slin

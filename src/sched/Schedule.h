@@ -41,6 +41,13 @@ struct FiringStep {
 
 using FiringProgram = std::vector<FiringStep>;
 
+/// The one rule for a well-formed step, shared by the artifact loader and
+/// the schedule verifiers: a node of the graph, fired at least once.
+inline bool validStep(const FiringStep &S, size_t NumNodes) {
+  return S.Node >= 0 && static_cast<size_t>(S.Node) < NumNodes &&
+         S.Count >= 1;
+}
+
 /// A complete static schedule for a flattened graph.
 struct StaticSchedule {
   /// Steady-state repetitions per node (minimal positive integers).

@@ -2,6 +2,8 @@
 
 #include "verify/AbstractInterp.h"
 
+#include "support/Diag.h"
+
 #include <algorithm>
 #include <cmath>
 
@@ -33,6 +35,25 @@ bool constIndex(const AffineValue &V, bool IntIdx, long &Out) {
     return false;
   Out = IntIdx ? static_cast<long>(V.Const) : std::lround(V.Const);
   return true;
+}
+
+/// The tree operator a binary tape op was lowered from.
+wir::BinOp binOpOf(Op K) {
+  switch (K) {
+  case Op::Add: return wir::BinOp::Add;
+  case Op::Sub: return wir::BinOp::Sub;
+  case Op::Mul: return wir::BinOp::Mul;
+  case Op::Div: return wir::BinOp::Div;
+  case Op::Mod: return wir::BinOp::Mod;
+  case Op::Lt:  return wir::BinOp::Lt;
+  case Op::Le:  return wir::BinOp::Le;
+  case Op::Gt:  return wir::BinOp::Gt;
+  case Op::Ge:  return wir::BinOp::Ge;
+  case Op::Eq:  return wir::BinOp::Eq;
+  case Op::Ne:  return wir::BinOp::Ne;
+  default:
+    unreachable("not a binary tape op");
+  }
 }
 
 } // namespace
@@ -286,6 +307,25 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         NotePeek(static_cast<int>(Pos));
         return AffineValue::input(static_cast<size_t>(Pos), E);
       };
+      auto Add = [](const AffineValue &L, const AffineValue &R) {
+        return affBinary(wir::BinOp::Add, L, R);
+      };
+      // A branch on a data-dependent condition: this path falls through,
+      // the taken continuation is queued.
+      auto Fork = [&](int32_t Target) {
+        NoteFork(Pt.PC);
+        if (Done.size() + Work.size() + 2 > MaxPaths) {
+          // Too many data-dependent paths (argmax-style loops reach
+          // 2^trips). Every property becomes "unproven", which is not
+          // a finding — Exploded tells the analyses to stay silent.
+          S.Exploded = true;
+          Live = false;
+          return;
+        }
+        Path Taken = Pt;
+        Taken.PC = static_cast<size_t>(Target);
+        Work.push_back(std::move(Taken));
+      };
       switch (I.K) {
       case Op::Const:
         Wr(I.A, AffineValue::constant(I.Imm, E));
@@ -413,31 +453,24 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         break;
       }
       case Op::Add:
-        Wr(I.A, affAdd(Rd(I.B), Rd(I.C), 1.0));
-        break;
       case Op::Sub:
-        Wr(I.A, affAdd(Rd(I.B), Rd(I.C), -1.0));
-        break;
       case Op::Mul:
-        Wr(I.A, affMul(Rd(I.B), Rd(I.C)));
-        break;
       case Op::Div:
-        Wr(I.A, affDiv(Rd(I.B), Rd(I.C)));
-        break;
       case Op::Mod:
-        Wr(I.A, affModOp(Rd(I.B), Rd(I.C)));
-        break;
       case Op::Lt:
       case Op::Le:
       case Op::Gt:
       case Op::Ge:
       case Op::Eq:
       case Op::Ne:
-        Wr(I.A, affCompare(I.K, Rd(I.B), Rd(I.C)));
+        Wr(I.A, affBinary(binOpOf(I.K), Rd(I.B), Rd(I.C)));
         break;
       case Op::Bool:
+        Wr(I.A, affBinary(wir::BinOp::Ne, Rd(I.B),
+                          AffineValue::constant(0.0, E)));
+        break;
       case Op::Not:
-        Wr(I.A, affCompare(I.K, Rd(I.B), Rd(I.B)));
+        Wr(I.A, affUnary(wir::UnOp::LNot, Rd(I.B)));
         break;
       case Op::Round: {
         const AffineValue &V = Rd(I.B);
@@ -448,20 +481,13 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
         break;
       }
       case Op::Neg:
-        Wr(I.A, affNeg(Rd(I.B)));
+        Wr(I.A, affUnary(wir::UnOp::Neg, Rd(I.B)));
         break;
-      case Op::Intrin: {
-        const AffineValue &V = Rd(I.C);
-        Wr(I.A, V.isConst()
-                    ? AffineValue::constant(
-                          wir::evalIntrinsic(
-                              static_cast<wir::Intrinsic>(I.B), V.Const),
-                          E)
-                    : AffineValue::top());
+      case Op::Intrin:
+        Wr(I.A, affIntrinsic(static_cast<wir::Intrinsic>(I.B), Rd(I.C)));
         break;
-      }
       case Op::MulAdd:
-        Wr(I.A, affAdd(Rd(I.D), affMul(Rd(I.B), Rd(I.C)), 1.0));
+        Wr(I.A, Add(Rd(I.D), affBinary(wir::BinOp::Mul, Rd(I.B), Rd(I.C))));
         break;
       case Op::MacFldPeek: {
         long Idx;
@@ -480,61 +506,35 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
           break;
         }
         AffineValue X = ReadInput(Idx, "peek");
-        Wr(I.A, affAdd(Rd(I.A),
-                       affMul(Elems[static_cast<size_t>(Idx)], X), 1.0));
+        Wr(I.A, Add(Rd(I.A), affBinary(wir::BinOp::Mul,
+                                       Elems[static_cast<size_t>(Idx)], X)));
         break;
       }
       case Op::AddImm:
-        Wr(I.A, affAdd(Rd(I.B), AffineValue::constant(I.Imm, E), 1.0));
+        Wr(I.A, Add(Rd(I.B), AffineValue::constant(I.Imm, E)));
         break;
       case Op::Jump:
         NextPC = static_cast<size_t>(I.A);
         break;
       case Op::JumpIfZero: {
         const AffineValue &C = Rd(I.A);
-        if (C.isConst()) {
-          if (C.Const == 0.0)
-            NextPC = static_cast<size_t>(I.B);
-        } else {
-          NoteFork(Pt.PC);
-          if (Done.size() + Work.size() + 2 > MaxPaths) {
-            // Too many data-dependent paths (argmax-style loops reach
-            // 2^trips). Every property becomes "unproven", which is not
-            // a finding — Exploded tells the analyses to stay silent.
-            S.Exploded = true;
-            Live = false;
-            break;
-          }
-          Path Taken = Pt;
-          Taken.PC = static_cast<size_t>(I.B);
-          Work.push_back(std::move(Taken));
-        }
+        if (!C.isConst())
+          Fork(I.B);
+        else if (C.Const == 0.0)
+          NextPC = static_cast<size_t>(I.B);
         break;
       }
       case Op::JumpIfGe: {
         const AffineValue &L = Rd(I.A);
         const AffineValue &R = Rd(I.B);
-        if (L.isConst() && R.isConst()) {
-          if (L.Const >= R.Const)
-            NextPC = static_cast<size_t>(I.C);
-        } else {
-          NoteFork(Pt.PC);
-          if (Done.size() + Work.size() + 2 > MaxPaths) {
-            // Too many data-dependent paths (argmax-style loops reach
-            // 2^trips). Every property becomes "unproven", which is not
-            // a finding — Exploded tells the analyses to stay silent.
-            S.Exploded = true;
-            Live = false;
-            break;
-          }
-          Path Taken = Pt;
-          Taken.PC = static_cast<size_t>(I.C);
-          Work.push_back(std::move(Taken));
-        }
+        if (!L.isConst() || !R.isConst())
+          Fork(I.C);
+        else if (L.Const >= R.Const)
+          NextPC = static_cast<size_t>(I.C);
         break;
       }
       case Op::IncJump:
-        Wr(I.A, affAdd(Rd(I.A), AffineValue::constant(1.0, E), 1.0));
+        Wr(I.A, Add(Rd(I.A), AffineValue::constant(1.0, E)));
         NextPC = static_cast<size_t>(I.B);
         break;
       case Op::Halt:
@@ -583,12 +583,10 @@ TapeSummary verify::abstractExecute(const wir::OpProgram &P,
       continue;
     }
     for (size_t J = 0; J != S.Pushes.size(); ++J)
-      if (!S.Pushes[J].sameValue(Pt.Pushes[J]))
-        S.Pushes[J] = AffineValue::top();
+      S.Pushes[J] = affJoin(S.Pushes[J], Pt.Pushes[J]);
     for (size_t F = 0; F != S.FieldFinal.size(); ++F)
       for (size_t J = 0; J != S.FieldFinal[F].size(); ++J)
-        if (!S.FieldFinal[F][J].sameValue(Pt.Fld[F][J]))
-          S.FieldFinal[F][J] = AffineValue::top();
+        S.FieldFinal[F][J] = affJoin(S.FieldFinal[F][J], Pt.Fld[F][J]);
   }
   return S;
 }

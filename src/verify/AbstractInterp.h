@@ -2,14 +2,17 @@
 ///
 /// \file
 /// Abstract interpretation of one work-function firing over the affine
-/// domain (verify/AffineDomain.h): the op tape is executed exactly as
+/// domain of linear/Affine.h — the tape walk of the domain whose tree
+/// walk is linear/Extract.cpp. The op tape is executed exactly as
 /// wir::OpProgram::runImpl executes it — same register frame, same field
 /// and local-array addressing, same loop back-edges — but every value is
-/// an AffineValue instead of a double. Loop counters and index registers
-/// stay concrete (they are constants in the domain), so loops unroll to
-/// their real trip counts; a branch on a data-dependent condition forks
-/// the path and both continuations run to Halt, with the observable
-/// results joined by exact equality (Extract's confluence).
+/// an AffineValue instead of a double, and every arithmetic op goes
+/// through the domain's transfer function for the tree operator it was
+/// lowered from. Loop counters and index registers stay concrete (they
+/// are constants in the domain), so loops unroll to their real trip
+/// counts; a branch on a data-dependent condition forks the path and both
+/// continuations run to Halt, with the observable results joined by the
+/// domain's affJoin.
 ///
 /// The executor produces everything the three lint analyses consume:
 /// the affine form of each pushed value (verify-linear), every statically
@@ -22,7 +25,7 @@
 #ifndef SLIN_VERIFY_ABSTRACTINTERP_H
 #define SLIN_VERIFY_ABSTRACTINTERP_H
 
-#include "verify/AffineDomain.h"
+#include "linear/Affine.h"
 #include "wir/IR.h"
 #include "wir/OpTape.h"
 

@@ -244,7 +244,7 @@ std::string verify::verifyLinear(const CompiledProgram &P, LintReport &R) {
 namespace {
 
 /// Per-tape bounds pass; returns the summary so the schedule replay can
-/// reuse the derived rates and peek extent.
+/// use the derived rates and peek extent.
 TapeSummary boundsOneTape(const wir::OpProgram &Tape,
                           const std::vector<wir::FieldDef> &Fields,
                           const std::string &Where, LintReport &R) {
@@ -265,21 +265,68 @@ void verify::lintTapeBounds(const wir::OpProgram &Tape,
   boundsOneTape(Tape, Fields, Where, R);
 }
 
+void verify::lintScheduleBounds(const flat::FlatGraph &G,
+                                const StaticSchedule &S,
+                                const std::vector<NodeIO> &IO,
+                                LintReport &R) {
+  const char *Pass = "verify-bounds";
+  size_t NumChans = G.numChannels();
+  if (S.Repetitions.size() != G.Nodes.size() ||
+      S.InitFirings.size() != G.Nodes.size() ||
+      S.ChannelHighWater.size() != NumChans ||
+      S.ChannelBufSize.size() != NumChans) {
+    R.error(Pass, "schedule", -1,
+            "schedule vectors are not sized to the graph");
+    return;
+  }
+  // Every channel read stays covered by live items, every program fires
+  // what the schedule says, and live counts stay within the schedule's
+  // high-water marks and buffer capacities — the flat-buffer positions
+  // CxxEmit's emitted code indexes with.
+  ReplayRecord Rec = replayFiringPrograms(G, S, IO);
+  if (const ReplayRecord::Program *P = Rec.failed()) {
+    R.error(Pass, "schedule", -1, P->Err);
+    return;
+  }
+  for (const ReplayRecord::Program &P : Rec.Programs)
+    if (std::string E = P.firingMismatch(G); !E.empty())
+      R.error(Pass, "schedule", -1, E);
+  for (size_t C = 0; C != NumChans; ++C) {
+    if (static_cast<int>(C) == G.ExternalIn ||
+        static_cast<int>(C) == G.ExternalOut)
+      continue;
+    if (Rec.HighWater[C] > S.ChannelHighWater[C])
+      R.error(Pass, "schedule", -1,
+              "channel " + std::to_string(C) + " holds " +
+                  std::to_string(Rec.HighWater[C]) +
+                  " items, above its high-water mark " +
+                  std::to_string(S.ChannelHighWater[C]));
+    if (Rec.bufferNeed(C) > S.ChannelBufSize[C])
+      R.error(Pass, "schedule", -1,
+              "flat-buffer positions on channel " + std::to_string(C) +
+                  " reach " + std::to_string(Rec.bufferNeed(C)) +
+                  ", capacity is " + std::to_string(S.ChannelBufSize[C]));
+  }
+}
+
 std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
   const char *Pass = "verify-bounds";
   size_t Before = R.findings().size();
   const flat::FlatGraph &G = P.graph();
-  const StaticSchedule &S = P.schedule();
 
-  // Tape-derived firing I/O per node; declared rates elsewhere.
-  struct NodeIO {
-    bool Derived = false; ///< filter with a tape (vs. declared rates)
-    bool HasInit = false;
-    int64_t Pops = 0, Pushes = 0, Need = 0;
-    int64_t InitPops = 0, InitPushes = 0, InitNeed = 0;
+  // Declared I/O, with each tape filter's In/Out rates replaced by what
+  // its tapes derive: pops and pushes, and a window covering the
+  // highest peek the abstract execution saw.
+  std::vector<NodeIO> IO = declaredIO(G);
+  auto Derive = [](FiringIO &F, const wir::OpProgram &Tape,
+                   const TapeSummary &Sum) {
+    for (FiringIO::Port &In : F.In) {
+      In.Items = Tape.popRate();
+      In.Need = std::max<int64_t>(Sum.MaxPeekPos + 1, In.Items);
+    }
+    for (FiringIO::Port &Out : F.Out)
+      Out.Items = Tape.pushRate();
   };
-  std::vector<NodeIO> IO(G.Nodes.size());
-
   for (size_t I = 0; I != G.Nodes.size(); ++I) {
     const flat::Node &N = G.Nodes[I];
     if (N.Kind != flat::NodeKind::Filter || !N.F || N.F->isNative())
@@ -288,7 +335,8 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
     const CompiledProgram::FilterArtifact &Art = P.filterArtifact(I);
     if (Art.Work.empty())
       continue;
-    TapeSummary Sum = boundsOneTape(Art.Work, F.fields(), N.Name, R);
+    Derive(IO[I].Steady, Art.Work,
+           boundsOneTape(Art.Work, F.fields(), N.Name, R));
     if (Art.Work.peekRate() != F.peekRate() ||
         Art.Work.popRate() != F.popRate() ||
         Art.Work.pushRate() != F.pushRate())
@@ -300,18 +348,9 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
                   std::to_string(F.peekRate()) + ", pop " +
                   std::to_string(F.popRate()) + ", push " +
                   std::to_string(F.pushRate()) + ")");
-    NodeIO &D = IO[I];
-    D.Derived = true;
-    D.Pops = Art.Work.popRate();
-    D.Pushes = Art.Work.pushRate();
-    D.Need = std::max<int64_t>(Sum.MaxPeekPos + 1, D.Pops);
     if (!Art.InitWork.empty()) {
-      TapeSummary ISum =
-          boundsOneTape(Art.InitWork, F.fields(), N.Name + " [init]", R);
-      D.HasInit = true;
-      D.InitPops = Art.InitWork.popRate();
-      D.InitPushes = Art.InitWork.pushRate();
-      D.InitNeed = std::max<int64_t>(ISum.MaxPeekPos + 1, D.InitPops);
+      Derive(IO[I].Init, Art.InitWork,
+             boundsOneTape(Art.InitWork, F.fields(), N.Name + " [init]", R));
       if (Art.InitWork.popRate() != F.initPopRate() ||
           Art.InitWork.pushRate() != F.initPushRate())
         R.error(Pass, N.Name + " [init]", -1,
@@ -319,113 +358,7 @@ std::string verify::verifyBounds(const CompiledProgram &P, LintReport &R) {
                 "rates");
     }
   }
-
-  // Replay the firing programs with the *derived* filter I/O: every
-  // channel read stays covered by live items, and live counts stay
-  // within the schedule's high-water marks and buffer capacities — the
-  // flat-buffer positions CxxEmit's emitted code indexes with.
-  size_t NumChans = G.numChannels();
-  auto External = [&](int C) {
-    return C == G.ExternalIn || C == G.ExternalOut;
-  };
-  std::vector<int64_t> FiredEver(G.Nodes.size(), 0);
-  auto Replay = [&](const FiringProgram &Prog, std::vector<int64_t> &Live,
-                    const char *Which) {
-    std::vector<int64_t> StartLive = Live;
-    std::vector<int64_t> Appended(NumChans, 0);
-    size_t ErrsAtStart = R.errorCount();
-    for (const FiringStep &Step : Prog) {
-      if (Step.Node < 0 ||
-          static_cast<size_t>(Step.Node) >= G.Nodes.size()) {
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program fires unknown node " +
-                    std::to_string(Step.Node));
-        return;
-      }
-      const flat::Node &N = G.Nodes[static_cast<size_t>(Step.Node)];
-      const NodeIO &D = IO[static_cast<size_t>(Step.Node)];
-      for (int64_t K = 0; K != Step.Count; ++K) {
-        // Stop piling up findings once the replay has gone off the rails.
-        if (R.errorCount() > ErrsAtStart + 8)
-          return;
-        bool InitF = FiredEver[static_cast<size_t>(Step.Node)] == 0 &&
-                     N.Kind == flat::NodeKind::Filter && N.F &&
-                     N.F->hasInitWork();
-        for (int C : N.inputChannels()) {
-          int64_t Need, Pops;
-          if (D.Derived && C == N.In) {
-            Need = InitF && D.HasInit ? D.InitNeed : D.Need;
-            Pops = InitF && D.HasInit ? D.InitPops : D.Pops;
-          } else {
-            Need = N.peekNeedOn(C, InitF);
-            Pops = N.popsFrom(C, InitF);
-          }
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            if (Need > Live[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: '" + N.Name +
-                          "' reads " + std::to_string(Need) +
-                          " items on channel " + std::to_string(C) +
-                          " with only " + std::to_string(Live[Ch]) +
-                          " live");
-            Live[Ch] -= Pops;
-            if (Live[Ch] < 0) {
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " underflows at '" + N.Name +
-                          "'");
-              Live[Ch] = 0;
-            }
-          }
-        }
-        for (int C : N.outputChannels()) {
-          int64_t Pushes;
-          if (D.Derived && C == N.Out)
-            Pushes = InitF && D.HasInit ? D.InitPushes : D.Pushes;
-          else
-            Pushes = N.pushesTo(C, InitF);
-          if (!External(C)) {
-            size_t Ch = static_cast<size_t>(C);
-            Live[Ch] += Pushes;
-            Appended[Ch] += Pushes;
-            if (Ch < S.ChannelHighWater.size() &&
-                Live[Ch] > S.ChannelHighWater[Ch])
-              R.error(Pass, "schedule", -1,
-                      std::string(Which) + " program: channel " +
-                          std::to_string(C) + " holds " +
-                          std::to_string(Live[Ch]) +
-                          " items, above its high-water mark " +
-                          std::to_string(S.ChannelHighWater[Ch]));
-          }
-        }
-        ++FiredEver[static_cast<size_t>(Step.Node)];
-      }
-    }
-    for (size_t C = 0; C != NumChans; ++C)
-      if (!External(static_cast<int>(C)) && C < S.ChannelBufSize.size() &&
-          StartLive[C] + Appended[C] > S.ChannelBufSize[C])
-        R.error(Pass, "schedule", -1,
-                std::string(Which) + " program: flat-buffer positions on "
-                                     "channel " +
-                    std::to_string(C) + " reach " +
-                    std::to_string(StartLive[C] + Appended[C]) +
-                    ", capacity is " + std::to_string(S.ChannelBufSize[C]));
-  };
-
-  if (S.Repetitions.size() == G.Nodes.size() &&
-      S.ChannelHighWater.size() == NumChans &&
-      S.ChannelBufSize.size() == NumChans) {
-    std::vector<int64_t> Live(NumChans, 0);
-    for (size_t C = 0; C != NumChans; ++C)
-      Live[C] = static_cast<int64_t>(G.InitialItems[C].size());
-    Replay(S.InitProgram, Live, "init");
-    Replay(S.BatchProgram, Live, "batch");
-    Replay(S.SteadyProgram, Live, "steady");
-  } else {
-    R.error(Pass, "schedule", -1,
-            "schedule vectors are not sized to the graph");
-  }
+  lintScheduleBounds(G, P.schedule(), IO, R);
   return passResult(R, Before, "verify-bounds");
 }
 

@@ -12,8 +12,9 @@
 ///    tape disagrees;
 ///  * verify-bounds — the bounds & rate proof: every peek/pop/push and
 ///    field/array index in every tape stays inside declared rates and
-///    windows, and a replay of the schedule's firing programs with the
-///    *tape-derived* rates keeps every flat-buffer position inside the
+///    windows, and the schedule replay verify-schedule also uses
+///    (opt/Cleanup.h), fed the *tape-derived* rates, fires what the
+///    schedule says and keeps every flat-buffer position inside the
 ///    StaticSchedule's high-water marks and buffer capacities (the
 ///    positions the CxxEmit lowering indexes with);
 ///  * verify-state — the state-classification audit: re-runs
@@ -30,6 +31,7 @@
 #define SLIN_VERIFY_LINT_H
 
 #include "compiler/Program.h"
+#include "opt/Cleanup.h"
 #include "verify/AbstractInterp.h"
 
 #include <string>
@@ -109,6 +111,13 @@ void lintTapeLinear(const wir::OpProgram &Tape, const Filter &F,
 void lintTapeBounds(const wir::OpProgram &Tape,
                     const std::vector<wir::FieldDef> &Fields,
                     const std::string &Where, LintReport &R);
+
+/// verify-bounds' schedule check: replays \p S over \p G with each node
+/// firing as \p IO says (opt/Cleanup.h) and reports unmet input windows,
+/// malformed steps, firing totals that differ from the schedule, and
+/// live counts above its high-water marks or buffer capacities.
+void lintScheduleBounds(const flat::FlatGraph &G, const StaticSchedule &S,
+                        const std::vector<NodeIO> &IO, LintReport &R);
 
 /// Audits externally supplied steady-state \p Claims against the tape's
 /// abstract execution — the claims are a parameter (rather than

@@ -17,6 +17,7 @@
 #include "exec/Measure.h"
 #include "opt/Cleanup.h"
 #include "sched/Schedule.h"
+#include "verify/Lint.h"
 #include "wir/Build.h"
 
 #include "TestGraphs.h"
@@ -357,24 +358,36 @@ protected:
     ASSERT_NE(Program, nullptr);
   }
 
+  /// Errors verify-bounds' schedule check finds in \p S, which replays
+  /// the same record with ≤-bounds instead of equalities.
+  size_t boundsErrors(const StaticSchedule &S) {
+    verify::LintReport R;
+    verify::lintScheduleBounds(Program->graph(), S,
+                               declaredIO(Program->graph()), R);
+    return R.errorCount();
+  }
+
   StreamPtr Root;
   CompiledProgramRef Program;
 };
 
 TEST_F(VerifySchedule, AcceptsTheRealSchedule) {
   EXPECT_EQ(verifySchedule(Program->graph(), Program->schedule()), "");
+  EXPECT_EQ(boundsErrors(Program->schedule()), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedRepetitions) {
   StaticSchedule S = Program->schedule();
   S.Repetitions.front() += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedInitFirings) {
   StaticSchedule S = Program->schedule();
   S.InitFirings.back() += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedFiringProgram) {
@@ -382,6 +395,17 @@ TEST_F(VerifySchedule, CatchesTamperedFiringProgram) {
   ASSERT_FALSE(S.SteadyProgram.empty());
   S.SteadyProgram.front().Count += 1;
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
+}
+
+// Item counts past int64_t are reported, not wrapped (the loader accepts
+// any positive count).
+TEST_F(VerifySchedule, CatchesOverflowingStepCount) {
+  StaticSchedule S = Program->schedule();
+  ASSERT_FALSE(S.BatchProgram.empty());
+  S.BatchProgram.front().Count = INT64_MAX;
+  EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedHighWaterMark) {
@@ -392,6 +416,7 @@ TEST_F(VerifySchedule, CatchesTamperedHighWaterMark) {
       break;
     }
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedBufferCapacity) {
@@ -406,6 +431,7 @@ TEST_F(VerifySchedule, CatchesTamperedBufferCapacity) {
     }
   }
   EXPECT_NE(verifySchedule(Program->graph(), S), "");
+  EXPECT_GT(boundsErrors(S), 0u);
 }
 
 TEST_F(VerifySchedule, CatchesTamperedPostInitLive) {

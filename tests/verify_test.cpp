@@ -11,11 +11,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Benchmarks.h"
+#include "apps/Dsp.h"
 #include "compiler/ArtifactStore.h"
 #include "compiler/Pipeline.h"
 #include "compiler/Program.h"
 #include "compiler/StructuralHash.h"
 #include "linear/Extract.h"
+#include "opt/Cleanup.h"
+#include "sched/Schedule.h"
 #include "support/FaultInjection.h"
 #include "support/Serialize.h"
 #include "verify/AbstractInterp.h"
@@ -23,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <unistd.h>
 
@@ -169,6 +174,48 @@ TEST(VerifyLinear, TapeRederivesExtractionExactly) {
   LintReport R;
   lintTapeLinear(Tape, *N.F, N.Name, R);
   EXPECT_EQ(R.errorCount(), 0u) << R.text();
+}
+
+//===----------------------------------------------------------------------===//
+// verify-bounds: the schedule replay
+//===----------------------------------------------------------------------===//
+
+// A loaded artifact whose steady program fires its one filter 2^40 times
+// while Repetitions says once. The loader accepts any positive count, so
+// the linter must flag it, and promptly: the replay costs O(steps).
+TEST(VerifyBoundsSchedule, HugeStepCountIsFlaggedPromptly) {
+  StreamPtr Root = apps::makeFIRFilter({0.5, 0.25, 0.125}, "FIR");
+  CompiledProgram P(*Root, CompiledOptions{});
+  ASSERT_EQ(P.schedule().SteadyProgram.size(), 1u);
+
+  // Patch the steady count inside the serialized program: the schedule's
+  // own wire image, original and patched, has the same length.
+  serial::Writer W, Orig, Patched;
+  ASSERT_TRUE(serializeProgram(W, P));
+  StaticSchedule S = P.schedule();
+  serializeSchedule(Orig, S);
+  S.SteadyProgram[0].Count = int64_t(1) << 40;
+  serializeSchedule(Patched, S);
+  std::vector<uint8_t> Bytes = W.bytes();
+  auto At = std::search(Bytes.begin(), Bytes.end(), Orig.bytes().begin(),
+                        Orig.bytes().end());
+  ASSERT_NE(At, Bytes.end());
+  std::copy(Patched.bytes().begin(), Patched.bytes().end(), At);
+  serial::Reader R(Bytes);
+  std::shared_ptr<const CompiledProgram> Loaded = deserializeProgram(R);
+  ASSERT_NE(Loaded, nullptr);
+  ASSERT_EQ(Loaded->schedule().SteadyProgram[0].Count, int64_t(1) << 40);
+
+  auto Start = std::chrono::steady_clock::now();
+  LintReport Report = lintProgram(*Loaded);
+  double Secs = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
+  EXPECT_TRUE(hasErrorContaining(Report, "steady program fires 'FIR' "
+                                         "1099511627776 times"))
+      << Report.text();
+  EXPECT_LT(Secs, 10.0);
+  EXPECT_NE(verifySchedule(Loaded->graph(), Loaded->schedule()), "");
 }
 
 //===----------------------------------------------------------------------===//
