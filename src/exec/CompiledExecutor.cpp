@@ -371,8 +371,41 @@ Status checkDeadline(const faults::RunDeadline *DL) {
 
 } // namespace
 
-Status CompiledExecutor::tryRunIterations(int64_t Iters,
-                                          const faults::RunDeadline *DL) {
+/// Steady iterations still needed for \p Deficit more observable
+/// outputs, capped at one batch (the loop only asks whether a batch
+/// fits). Root-output graphs push a fixed count per iteration; printing
+/// graphs go by the yield of this executor's last steady program, and
+/// with none seen yet the answer is one probe iteration.
+uint64_t CompiledExecutor::iterationsFor(uint64_t Deficit) const {
+  uint64_t Outs = LastYieldOutputs, Iters = LastYieldIterations;
+  if (Graph.RootProducesOutput) {
+    Outs = static_cast<uint64_t>(Sched.SteadyExternalPushes);
+    Iters = 1;
+  }
+  const uint64_t Batch = static_cast<uint64_t>(Sched.BatchIterations);
+  if (Outs == 0)
+    return 1;
+  if (Deficit >= Outs * Batch)
+    return Batch;
+  return (Deficit * Iters + Outs - 1) / Outs;
+}
+
+Status CompiledExecutor::step(RunGoal Goal, uint64_t Target, bool Batches,
+                              const faults::RunDeadline *DL,
+                              double *FirstOutputSeconds) {
+  const bool ByOutputs = Goal == RunGoal::Outputs;
+  if (ByOutputs && outputsProduced() >= Target)
+    return Status::ok();
+  const auto Start = std::chrono::steady_clock::now();
+  const size_t Initial = outputsProduced();
+  auto NoteFirstOutput = [&] {
+    if (!FirstOutputSeconds || outputsProduced() <= Initial)
+      return;
+    *FirstOutputSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+            .count();
+    FirstOutputSeconds = nullptr;
+  };
   if (!InitDone) {
     if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
       return Status(ErrorCode::Deadlock,
@@ -383,30 +416,78 @@ Status CompiledExecutor::tryRunIterations(int64_t Iters,
     runProgram(Sched.InitProgram);
     compact();
     InitDone = true;
+    NoteFirstOutput();
   }
-  while (Iters > 0) {
+  // Steady iterations since the last observable output: a batch's worth
+  // of them is a deadlock, whichever programs ran them.
+  int64_t Idle = 0;
+  for (;;) {
+    const size_t Before = outputsProduced();
+    if (ByOutputs ? Before >= Target : Target == 0)
+      return Status::ok();
     if (Status St = checkDeadline(DL); !St.isOk())
       return St;
-    if (Iters >= Sched.BatchIterations &&
-        extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed)) {
-      runProgram(Sched.BatchProgram);
-      Iters -= Sched.BatchIterations;
-    } else if (extInAvailable() >=
-               static_cast<size_t>(Sched.SteadyExternalNeed)) {
-      runProgram(Sched.SteadyProgram);
-      --Iters;
-    } else {
+    // A batch while a whole one is still needed, or once a single
+    // iteration came up empty; single iterations for the rest.
+    uint64_t Needed = ByOutputs ? iterationsFor(Target - Before) : Target;
+    bool Batch = Batches &&
+                 (Needed >= static_cast<uint64_t>(Sched.BatchIterations) ||
+                  Idle > 0) &&
+                 extInAvailable() >=
+                     static_cast<size_t>(Sched.BatchExternalNeed);
+    if (!Batch &&
+        extInAvailable() < static_cast<size_t>(Sched.SteadyExternalNeed))
       return Status(
           ErrorCode::Deadlock,
           "stream graph deadlocked: a steady-state iteration needs " +
               std::to_string(Sched.SteadyExternalNeed) +
               " external input items, have " +
-              std::to_string(extInAvailable()) + " (" +
-              std::to_string(Iters) + " iterations remaining)");
-    }
+              std::to_string(extInAvailable()) +
+              (ByOutputs ? " (needed " + std::to_string(Target) +
+                               " outputs, have " + std::to_string(Before) +
+                               ")"
+                         : " (" + std::to_string(Target) +
+                               " iterations remaining)"));
+    runProgram(Batch ? Sched.BatchProgram : Sched.SteadyProgram);
     compact();
+    const int64_t Ran = Batch ? Sched.BatchIterations : 1;
+    LastYieldOutputs = outputsProduced() - Before;
+    LastYieldIterations = static_cast<uint64_t>(Ran);
+    NoteFirstOutput();
+    if (!ByOutputs) {
+      Target -= static_cast<uint64_t>(Ran);
+      continue;
+    }
+    Idle = LastYieldOutputs ? 0 : Idle + Ran;
+    if (Idle >= Sched.BatchIterations)
+      return Status(ErrorCode::Deadlock,
+                    "stream graph deadlocked: steady state produces no "
+                    "observable output");
   }
-  return Status::ok();
+}
+
+Status CompiledExecutor::tryRunIterations(int64_t Iters,
+                                          const faults::RunDeadline *DL) {
+  return step(RunGoal::Iterations,
+              static_cast<uint64_t>(std::max<int64_t>(Iters, 0)),
+              /*Batches=*/true, DL, nullptr);
+}
+
+Status CompiledExecutor::tryRun(size_t NOutputs,
+                                const faults::RunDeadline *DL) {
+  return step(RunGoal::Outputs, NOutputs, /*Batches=*/true, DL, nullptr);
+}
+
+Status CompiledExecutor::tryRunLatency(size_t NOutputs,
+                                       const faults::RunDeadline *DL,
+                                       double *FirstOutputSeconds) {
+  return step(RunGoal::Outputs, NOutputs, /*Batches=*/false, DL,
+              FirstOutputSeconds);
+}
+
+void CompiledExecutor::run(size_t NOutputs) {
+  if (Status St = tryRun(NOutputs); !St.isOk())
+    fatalError(St.message());
 }
 
 void CompiledExecutor::runIterations(int64_t Iters) {
@@ -491,105 +572,4 @@ void CompiledExecutor::seedSteadyState(int64_t StartIteration) {
         .Fields.Values[static_cast<size_t>(Seed.Field)][0] = V;
   }
   InitDone = true;
-}
-
-Status CompiledExecutor::tryRun(size_t NOutputs,
-                                const faults::RunDeadline *DL) {
-  if (outputsProduced() >= NOutputs)
-    return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-  }
-  while (outputsProduced() < NOutputs) {
-    if (Status St = checkDeadline(DL); !St.isOk())
-      return St;
-    size_t Before = outputsProduced();
-    if (extInAvailable() >= static_cast<size_t>(Sched.BatchExternalNeed))
-      runProgram(Sched.BatchProgram);
-    else if (extInAvailable() >=
-             static_cast<size_t>(Sched.SteadyExternalNeed))
-      runProgram(Sched.SteadyProgram);
-    else
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    compact();
-    if (outputsProduced() == Before)
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: steady state produces no "
-                    "observable output");
-  }
-  return Status::ok();
-}
-
-void CompiledExecutor::run(size_t NOutputs) {
-  if (Status St = tryRun(NOutputs); !St.isOk())
-    fatalError(St.message());
-}
-
-Status CompiledExecutor::tryRunLatency(size_t NOutputs,
-                                       const faults::RunDeadline *DL,
-                                       double *FirstOutputSeconds) {
-  const auto Start = std::chrono::steady_clock::now();
-  const size_t Initial = outputsProduced();
-  bool FirstSeen = false;
-  auto NoteFirstOutput = [&] {
-    if (FirstSeen || outputsProduced() <= Initial)
-      return;
-    FirstSeen = true;
-    if (FirstOutputSeconds)
-      *FirstOutputSeconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        Start)
-              .count();
-  };
-  if (outputsProduced() >= NOutputs)
-    return Status::ok();
-  if (!InitDone) {
-    if (extInAvailable() < static_cast<size_t>(Sched.InitExternalNeed))
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: initialization needs " +
-                        std::to_string(Sched.InitExternalNeed) +
-                        " external input items, have " +
-                        std::to_string(extInAvailable()));
-    runProgram(Sched.InitProgram);
-    compact();
-    InitDone = true;
-    NoteFirstOutput();
-  }
-  while (outputsProduced() < NOutputs) {
-    if (Status St = checkDeadline(DL); !St.isOk())
-      return St;
-    size_t Before = outputsProduced();
-    if (extInAvailable() < static_cast<size_t>(Sched.SteadyExternalNeed))
-      return Status(
-          ErrorCode::Deadlock,
-          "stream graph deadlocked: a steady-state iteration needs " +
-              std::to_string(Sched.SteadyExternalNeed) +
-              " external input items, have " +
-              std::to_string(extInAvailable()) + " (needed " +
-              std::to_string(NOutputs) + " outputs, have " +
-              std::to_string(outputsProduced()) + ")");
-    runProgram(Sched.SteadyProgram);
-    compact();
-    if (outputsProduced() == Before)
-      return Status(ErrorCode::Deadlock,
-                    "stream graph deadlocked: steady state produces no "
-                    "observable output");
-    NoteFirstOutput();
-  }
-  return Status::ok();
 }

@@ -77,10 +77,16 @@ public:
   /// Appends items to the graph's external input channel.
   void provideInput(const std::vector<double> &Items);
 
-  /// Runs batch programs (falling back to single steady iterations when
-  /// the remaining external input cannot cover a batch) until the
-  /// observable output count reaches \p NOutputs. Reports a fatal error
-  /// when the graph deadlocks (insufficient input / invalid graph).
+  /// Runs the init program (if not yet run) plus the fewest steady
+  /// iterations whose outputs cover \p NOutputs: batch programs while a
+  /// whole batch is still needed and the external input covers one,
+  /// single steady iterations for the rest. The iterations still needed
+  /// come from the root's pushes per iteration or, for a printing graph,
+  /// from this executor's last steady program (no yield seen yet: one
+  /// probe iteration). Every output of the iterations run is kept, so
+  /// the count lands in [NOutputs, NOutputs + one iteration's worth),
+  /// and the outputs are a prefix of any longer run's. Reports a fatal
+  /// error when the graph deadlocks (insufficient input / invalid graph).
   void run(size_t NOutputs);
 
   /// Runs the init program (if not yet run) plus exactly \p Iters steady
@@ -90,25 +96,26 @@ public:
   void runIterations(int64_t Iters);
 
   /// Serving-path front doors behind run()/runIterations(): a deadlock
-  /// (insufficient input / unproductive steady state) comes back as
-  /// ErrorCode::Deadlock instead of aborting, and an optional \p DL is
-  /// polled between firing programs so a runaway (or injected-hang) run
-  /// returns Timeout/Cancelled. On any non-Ok Status the executor's
-  /// state is indeterminate mid-stream — recover by rerunning on a
-  /// fresh executor, never by continuing this one.
+  /// (insufficient input, or a batch's worth of steady iterations with
+  /// no observable output) comes back as ErrorCode::Deadlock instead of
+  /// aborting, and an optional \p DL is polled between firing programs
+  /// so a runaway (or injected-hang) run returns Timeout/Cancelled. On
+  /// any non-Ok Status the executor's state is indeterminate mid-stream
+  /// — recover by rerunning on a fresh executor, never by continuing
+  /// this one.
   Status tryRun(size_t NOutputs,
                 const faults::RunDeadline *DL = nullptr);
   Status tryRunIterations(int64_t Iters,
                           const faults::RunDeadline *DL = nullptr);
 
-  /// Latency-mode tryRun: fires single steady iterations only — never
-  /// the fused B-iteration batch program — so the first observable
-  /// output lands after one iteration's work instead of a whole
-  /// batch's. Outputs are bit-identical to tryRun's (the batch program
-  /// replays the same firing sequence); only the time-to-first-output
-  /// changes. \p FirstOutputSeconds (optional) receives the wall-clock
-  /// seconds from this call's entry to the first new observable
-  /// output. The service daemon's latency serving mode.
+  /// Latency-mode tryRun: the same loop with the fused B-iteration batch
+  /// program never chosen, so the first observable output lands after
+  /// one iteration's work instead of a whole batch's. Runs the same
+  /// iterations as tryRun and returns the same outputs, bit for bit;
+  /// only the time-to-first-output changes. \p FirstOutputSeconds
+  /// (optional) receives the wall-clock seconds from this call's entry
+  /// to the first new observable output. The service daemon's latency
+  /// serving mode.
   Status tryRunLatency(size_t NOutputs,
                        const faults::RunDeadline *DL = nullptr,
                        double *FirstOutputSeconds = nullptr);
@@ -188,6 +195,18 @@ private:
 
   class PtrTape;
 
+  /// What the stepping loop drives toward: an observable-output count,
+  /// or an exact number of steady iterations.
+  enum class RunGoal { Outputs, Iterations };
+
+  /// The one stepping loop behind tryRun, tryRunLatency and
+  /// tryRunIterations: init if pending, then batch or single steady
+  /// programs until \p Target is met, polling \p DL before each and
+  /// reporting deadlocks. \p Batches false never picks a batch.
+  Status step(RunGoal Goal, uint64_t Target, bool Batches,
+              const faults::RunDeadline *DL, double *FirstOutputSeconds);
+  uint64_t iterationsFor(uint64_t Deficit) const;
+
   size_t extInAvailable() const { return ExtIn.size() - ExtInPos; }
   const double *readBase(int Chan) const;
   void advanceRead(int Chan, size_t N);
@@ -212,6 +231,10 @@ private:
   std::vector<const double *> ReadCursors;
   bool InitDone = false;
   uint64_t Firings = 0;
+  /// Observable outputs of the last steady program run, and the steady
+  /// iterations it covered: a printing graph's output rate.
+  uint64_t LastYieldOutputs = 0;
+  uint64_t LastYieldIterations = 0;
 };
 
 } // namespace slin

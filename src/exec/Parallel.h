@@ -182,10 +182,11 @@ public:
     Engine Eng = Engine::Compiled;
     codegen::NativeModuleRef Native; ///< pre-resolved Engine::Native module
     int64_t DeadlineMillis = 0;      ///< > 0: wall-clock run deadline
-    /// Latency mode: single steady iterations (bounded
-    /// time-to-first-output) instead of fused batches. Runs on a
-    /// CompiledExecutor even for Eng == Parallel — sharding is a
-    /// throughput device and cannot bound the first output.
+    /// Latency mode: the same steady iterations as a throughput run,
+    /// fired singly (bounded time-to-first-output) instead of through
+    /// fused batches, with the same outputs. Runs on a CompiledExecutor
+    /// even for Eng == Parallel — sharding is a throughput device and
+    /// cannot bound the first output.
     bool Latency = false;
   };
   struct Result {

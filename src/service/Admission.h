@@ -22,9 +22,12 @@
 ///    default, seeded from RuntimeConfig's SLIN_RUN_DEADLINE_MS) bounds
 ///    the run; expiry returns a Timeout *response* and frees the
 ///    worker.
-///  * **Latency vs throughput**: latency-mode requests fire single
-///    steady iterations for a bounded time-to-first-output; throughput
-///    requests run the fused batch programs. Same outputs, bit for bit.
+///  * **Latency vs throughput**: both modes run the fewest steady
+///    iterations whose outputs cover the request and return every
+///    output of those iterations. Throughput requests run a fused batch
+///    program while a whole batch is still needed; latency-mode requests
+///    fire single steady iterations only, for a bounded
+///    time-to-first-output. Same outputs, bit for bit, length included.
 ///
 /// Counters for every step are published under the "service." prefix
 /// of the unified StatsRegistry, alongside aggregated per-pool

@@ -6,7 +6,7 @@
 // op counts vs the tree interpreter), the batched matrix kernels
 // (bit-identical to their sequential forms), and the CompiledExecutor
 // driving them (external input handling, init work, feedback loops,
-// batch-size invariance).
+// batch-size invariance, request-sized runs).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +14,12 @@
 #include "exec/Measure.h"
 #include "matrix/Kernels.h"
 #include "sched/Schedule.h"
+#include "support/FaultInjection.h"
 #include "TestGraphs.h"
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
 
 using namespace slin;
@@ -434,6 +436,118 @@ TEST(CompiledExec, FiringsAccounted) {
   E.run(8);
   // One batch: 8 firings each of source, gain, sink.
   EXPECT_EQ(E.firings(), 24u);
+}
+
+//===----------------------------------------------------------------------===//
+// Request-sized runs
+//===----------------------------------------------------------------------===//
+
+int64_t total(const std::vector<int64_t> &V) {
+  return std::accumulate(V.begin(), V.end(), int64_t(0));
+}
+
+bool isPrefix(const std::vector<double> &P, const std::vector<double> &Of) {
+  return P.size() <= Of.size() && std::equal(P.begin(), P.end(), Of.begin());
+}
+
+/// Pops one item per firing and prints it on every 5th firing only: a
+/// single steady iteration usually prints nothing.
+StreamPtr sparsePrinterPipeline() {
+  using namespace slin::wir;
+  using namespace slin::wir::build;
+  auto P = std::make_unique<Pipeline>("sparse");
+  P->add(makeCountingSource());
+  P->add(std::make_unique<Filter>(
+      "SparsePrinter",
+      std::vector<FieldDef>{FieldDef::mutableScalar("n", 0)},
+      WorkFunction(1, 1, 0,
+                   stmts(assign("v", pop()),
+                         fldAssign("n", add(fld("n"), cst(1))),
+                         ifStmt(eq(mod(fld("n"), cst(5)), cst(0)),
+                                stmts(printStmt(vr("v"))))))));
+  return P;
+}
+
+TEST(RequestSizing, RootOutputRunsTheFewestIterations) {
+  // Expander(3) -> FIR on external input: 3 outputs per steady
+  // iteration, known from the schedule before anything runs.
+  Pipeline P("p");
+  P.add(makeExpander(3));
+  P.add(makeFIR({1, -2, 3}));
+  CompiledOptions O;
+  O.BatchIterations = 16;
+  auto Prog = std::make_shared<const CompiledProgram>(P, O);
+  const StaticSchedule &S = Prog->schedule();
+  ASSERT_TRUE(Prog->graph().RootProducesOutput);
+  ASSERT_EQ(S.SteadyExternalPushes, 3);
+  std::vector<double> In(200);
+  std::iota(In.begin(), In.end(), 1.0);
+
+  CompiledExecutor Ref(Prog);
+  Ref.provideInput(In);
+  Ref.runIterations(3 * S.BatchIterations);
+  for (size_t N : {1, 2, 3, 4, 47, 48, 49, 100}) {
+    CompiledExecutor E(Prog);
+    E.provideInput(In);
+    ASSERT_TRUE(E.tryRun(N).isOk()) << N;
+    std::vector<double> Out = E.outputSnapshot();
+    EXPECT_GE(Out.size(), N);
+    EXPECT_LT(Out.size(), N + 3);
+    EXPECT_TRUE(isPrefix(Out, Ref.outputSnapshot())) << N;
+    int64_t Iters = static_cast<int64_t>((N + 2) / 3);
+    EXPECT_EQ(E.firings(), static_cast<uint64_t>(total(S.InitFirings) +
+                                                 Iters * total(S.Repetitions)))
+        << N;
+  }
+}
+
+TEST(RequestSizing, SparsePrinterStillReachesTheTarget) {
+  StreamPtr P = sparsePrinterPipeline();
+  CompiledOptions O;
+  O.BatchIterations = 16;
+  auto Prog = std::make_shared<const CompiledProgram>(*P, O);
+  CompiledExecutor Ref(Prog);
+  Ref.runIterations(20 * O.BatchIterations);
+  for (size_t N : {1, 2, 3, 4, 5, 17, 40}) {
+    CompiledExecutor E(Prog), L(Prog);
+    ASSERT_TRUE(E.tryRun(N).isOk()) << N;
+    ASSERT_TRUE(L.tryRunLatency(N).isOk()) << N;
+    EXPECT_GE(E.printed().size(), N);
+    EXPECT_GE(L.printed().size(), N);
+    EXPECT_TRUE(isPrefix(E.printed(), Ref.printed())) << N;
+    EXPECT_TRUE(isPrefix(L.printed(), Ref.printed())) << N;
+  }
+}
+
+TEST(RequestSizing, UnproductiveGraphDeadlocks) {
+  Pipeline P("p");
+  P.add(makeCountingSource());
+  P.add(std::make_unique<Filter>(
+      "Discard", std::vector<FieldDef>{},
+      WorkFunction(1, 1, 0, stmts(popStmt()))));
+  auto Prog = std::make_shared<const CompiledProgram>(P, CompiledOptions());
+  CompiledExecutor E(Prog), L(Prog);
+  EXPECT_EQ(E.tryRun(1).code(), ErrorCode::Deadlock);
+  EXPECT_EQ(L.tryRunLatency(1).code(), ErrorCode::Deadlock);
+}
+
+TEST(RequestSizing, InjectedHangUnderADeadlineTimesOut) {
+  Pipeline P("p");
+  P.add(makeCountingSource());
+  P.add(makeFIR({1, 2, 3}));
+  P.add(makePrinterSink());
+  auto Prog = std::make_shared<const CompiledProgram>(P, CompiledOptions());
+  for (int Mode = 0; Mode != 3; ++Mode) {
+    faults::reset();
+    faults::arm(faults::Point::ExecHang, 1);
+    faults::RunDeadline DL = faults::RunDeadline::afterMillis(20);
+    CompiledExecutor E(Prog);
+    Status St = Mode == 0   ? E.tryRun(128, &DL)
+                : Mode == 1 ? E.tryRunLatency(128, &DL)
+                            : E.tryRunIterations(8, &DL);
+    EXPECT_EQ(St.code(), ErrorCode::Timeout) << "mode " << Mode;
+  }
+  faults::reset();
 }
 
 TEST(CompiledExec, MeasureCountsMatchDynamic) {

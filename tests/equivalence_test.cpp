@@ -17,6 +17,7 @@
 #include "apps/Benchmarks.h"
 #include "codegen/CxxBackend.h"
 #include "codegen/NativeModule.h"
+#include "exec/CompiledExecutor.h"
 #include "exec/Measure.h"
 #include "opt/Optimizer.h"
 #include "TestGraphs.h"
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
 #include <sys/wait.h>
 
 using namespace slin;
@@ -309,5 +311,84 @@ std::vector<Case> nativeCases() {
 
 INSTANTIATE_TEST_SUITE_P(Fig51Suite, BenchmarkNativeEquivalence,
                          ::testing::ValuesIn(nativeCases()), caseName);
+
+//===----------------------------------------------------------------------===//
+// Request-sized runs over the Figure 5-1 suite
+//===----------------------------------------------------------------------===//
+
+/// tryRun(N) fires the fewest steady iterations whose outputs cover N:
+/// on every benchmark (all of them print their output) and on both the
+/// op tapes and emitted code, a request's outputs are a bit-exact prefix
+/// of a multi-batch run, stop short of one iteration past N, and cost
+/// exactly the init firings plus ceil(N / rate) steady iterations. The
+/// latency mode runs the same iterations without batches.
+class RequestSizing : public ::testing::TestWithParam<std::string> {};
+
+int64_t total(const std::vector<int64_t> &V) {
+  return std::accumulate(V.begin(), V.end(), int64_t(0));
+}
+
+TEST_P(RequestSizing, FewestIterationsBitExactPrefix) {
+  StreamPtr Base;
+  for (const BenchmarkEntry &B : allBenchmarks())
+    if (B.Name == GetParam())
+      Base = B.Build();
+  ASSERT_NE(Base, nullptr);
+  OptimizerOptions O;
+  O.Mode = OptMode::AutoSel;
+  StreamPtr Opt = optimize(*Base, O);
+  CompiledProgramRef P = ProgramCache::global().get(*Opt, CompiledOptions());
+  const StaticSchedule &S = P->schedule();
+  ASSERT_FALSE(P->graph().RootProducesOutput);
+
+  CompiledExecutor Probe(P);
+  Probe.runIterations(0);
+  const size_t InitOut = Probe.outputsProduced();
+  Probe.runIterations(1);
+  const size_t Rate = Probe.outputsProduced() - InitOut;
+  ASSERT_GT(Rate, 0u);
+  const size_t Batch = InitOut + Rate * static_cast<size_t>(S.BatchIterations);
+  // Whole batches past the largest request.
+  CompiledExecutor Ref(P);
+  Ref.runIterations(
+      S.BatchIterations *
+      (static_cast<int64_t>(std::max<size_t>(1024, Batch + 1) / Batch) + 1));
+
+  std::vector<codegen::NativeModuleRef> Modules = {nullptr};
+  if (toolchainWorks()) {
+    Modules.push_back(codegen::NativeModuleCache::global().get(*P));
+    ASSERT_NE(Modules.back(), nullptr) << "native build failed";
+  }
+  for (const codegen::NativeModuleRef &M : Modules) {
+    for (size_t N : {size_t(1), size_t(128), size_t(1024), Batch, Batch + 1}) {
+      SCOPED_TRACE("N=" + std::to_string(N) + (M ? " native" : " tapes"));
+      CompiledExecutor E(P, M), L(P, M);
+      ASSERT_TRUE(E.tryRun(N).isOk());
+      ASSERT_TRUE(L.tryRunLatency(N).isOk());
+      const std::vector<double> &Out = E.printed();
+      EXPECT_GE(Out.size(), N);
+      EXPECT_LT(Out.size(), N + Rate);
+      ASSERT_LE(Out.size(), Ref.printed().size());
+      EXPECT_TRUE(std::equal(Out.begin(), Out.end(), Ref.printed().begin()));
+      EXPECT_EQ(L.printed(), Out);
+      int64_t Iters =
+          static_cast<int64_t>((std::max(N, InitOut) - InitOut + Rate - 1) /
+                               Rate);
+      uint64_t Firings = static_cast<uint64_t>(total(S.InitFirings) +
+                                               Iters * total(S.Repetitions));
+      EXPECT_EQ(E.firings(), Firings);
+      EXPECT_EQ(L.firings(), Firings);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig51Suite, RequestSizing, ::testing::ValuesIn([] {
+      std::vector<std::string> Names;
+      for (const BenchmarkEntry &B : allBenchmarks())
+        Names.push_back(B.Name);
+      return Names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
 } // namespace

@@ -435,12 +435,61 @@ TEST(ServiceServer, LatencyModeSameOutputsBoundedFirstOutput) {
 
   // Same stream, bit for bit — latency mode changes scheduling, never
   // values — and the first output lands before the full batch would.
-  EXPECT_EQ(firstN(LResp.Outputs, N), firstN(TResp.Outputs, N));
+  // Both modes run the same steady iterations, so the lengths agree too.
+  EXPECT_EQ(LResp.Outputs, TResp.Outputs);
   EXPECT_GT(LResp.FirstOutputSeconds, 0.0);
   EXPECT_LE(LResp.FirstOutputSeconds, LResp.ServerSeconds);
-  // Throughput mode overshoots to batch granularity; single-iteration
-  // firing stops at iteration granularity, never beyond the batch.
-  EXPECT_LE(LResp.Outputs.size(), TResp.Outputs.size());
+
+  Srv.stop();
+}
+
+TEST(ServiceServer, ShortRequestRunsOneSteadyIteration) {
+  FaultGuard G;
+  std::string Path = freshSocketPath();
+  ServerConfig Cfg;
+  Cfg.UnixPath = Path;
+  Cfg.Service.Graphs = {"FIR"};
+  Cfg.Service.Mode = OptMode::AutoSel;
+  Server Srv(Cfg);
+  ASSERT_TRUE(Srv.start().isOk());
+  Expected<Client> EC = Client::connectUnix(Path);
+  ASSERT_TRUE(EC.hasValue());
+  Client C = EC.take();
+
+  auto Run = [&](size_t N, bool Latency) {
+    RunRequest R;
+    R.Graph = "FIR";
+    R.NOutputs = N;
+    R.Latency = Latency;
+    R.CountOps = true;
+    Expected<RunResponse> ER = C.run(R);
+    EXPECT_TRUE(ER.hasValue());
+    RunResponse Resp = ER.hasValue() ? ER.take() : RunResponse();
+    EXPECT_TRUE(Resp.St.isOk()) << Resp.St.str();
+    return Resp;
+  };
+
+  // FIR under AutoSel prints 256 outputs per steady iteration: a
+  // 128-output request is one iteration in either mode, not a batch.
+  RunResponse Through = Run(128, false);
+  RunResponse Lat = Run(128, true);
+  EXPECT_EQ(Through.Outputs.size(), 256u);
+  EXPECT_EQ(Through.Outputs, Lat.Outputs);
+  EXPECT_EQ(Through.Outputs, localReference("FIR", 256, OptMode::AutoSel));
+
+  // Past the init program every request pays for, its work is one
+  // sixteenth of a whole batch's. A two-iteration request separates the
+  // two: F(128) = init + one iteration, F(512) = init + two.
+  RunResponse Two = Run(512, false);
+  RunResponse Batch = Run(16 * 256, false);
+  EXPECT_EQ(Two.Outputs.size(), 512u);
+  EXPECT_EQ(Batch.Outputs.size(), 16u * 256u);
+  double Iter = static_cast<double>(Two.Flops) -
+                static_cast<double>(Through.Flops);
+  double Init = static_cast<double>(Through.Flops) - Iter;
+  ASSERT_GT(Iter, 0.0);
+  EXPECT_NEAR(Iter / (static_cast<double>(Batch.Flops) - Init), 1.0 / 16.0,
+              0.002);
 
   Srv.stop();
 }
@@ -604,8 +653,9 @@ TEST(ServiceServer, MalformedFrameGetsErrorReplyThenDisconnect) {
   ASSERT_TRUE(readFrame(Fd, Reply).isOk());
   Expected<Response> ER = decodeResponse(Reply);
   ASSERT_TRUE(ER.hasValue() || ER.status().code() == ErrorCode::Corrupt);
-  if (ER.hasValue())
+  if (ER.hasValue()) {
     EXPECT_EQ(ER.take().St.code(), ErrorCode::Corrupt);
+  }
 
   // The connection is gone afterwards...
   bool Closed = false;
